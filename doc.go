@@ -19,8 +19,8 @@
 // instruction program (topologically scheduled combinational logic,
 // bounded fixpoint only for genuine feedback) and runs steady-state
 // cycles with zero heap allocations via internal/bitvec's in-place
-// operations — 6-11x over the legacy tree-walker, which survives as the
-// bit-identical reference oracle and automatic fallback. Compiled
+// operations — 6-11x over the legacy tree-walker, which survives only as
+// the bit-identical reference oracle of the differential tests. Compiled
 // programs are content-addressed in memo.SimCache beside the compile
 // cache, so repeated checks of one source pay one compile.
 //

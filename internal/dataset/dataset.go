@@ -156,27 +156,18 @@ func (p *Problem) Check(candidate string, rng *rand.Rand) (sim.TBResult, error) 
 // toggle/activity coverage, or an engine execution profile. A zero
 // TBObserve makes it identical to Check.
 func (p *Problem) CheckObserved(candidate string, rng *rand.Rand, obs sim.TBObserve) (sim.TBResult, error) {
-	prog, design, diags := oracle.Program(candidate)
+	prog, design, diags, err := oracle.Program(candidate)
 	if design == nil {
 		return sim.TBResult{}, fmt.Errorf("candidate does not compile: %s", diags.Summary())
+	}
+	if err != nil {
+		return sim.TBResult{}, err
 	}
 	vectors, err := p.Vectors(rng)
 	if err != nil {
 		return sim.TBResult{}, err
 	}
-	var s *sim.Simulator
-	if prog != nil {
-		s = sim.NewFromProgram(prog)
-	} else {
-		// construct outside the compiled engine's coverage: the cache
-		// already recorded the rejection, so go straight to the walker
-		// rather than re-attempting compilation through EngineAuto
-		s, err = sim.NewWith(design, sim.EngineWalker)
-		if err != nil {
-			return sim.TBResult{}, err
-		}
-	}
-	return sim.RunTestbenchObserved(s, p.Clock, vectors, p.NewGolden(), obs)
+	return sim.RunTestbenchObserved(sim.NewFromProgram(prog), p.Clock, vectors, p.NewGolden(), obs)
 }
 
 // ---------- suite access ----------

@@ -1,7 +1,7 @@
 package dataset
 
-// Differential tests: the compiled simulation engine against the legacy
-// tree-walker over the entire curated corpus, under seeded random
+// Differential tests: the compiled simulation engine against the
+// reference tree-walker over the entire curated corpus, under seeded random
 // stimulus. These are the acceptance gate for the engine — every output
 // of every problem must be bit-identical on both backends, cycle by
 // cycle, including testbench mismatch accounting, so every benchmark
@@ -72,7 +72,7 @@ func lockstep(p *Problem, eng, wlk *sim.Simulator, vectors []sim.Vector) error {
 // TestDifferentialCorpus drives every curated problem on both backends
 // with two independent stimulus seeds.
 func TestDifferentialCorpus(t *testing.T) {
-	fallbacks := 0
+	rejected := 0
 	total := 0
 	for _, suite := range []Suite{SuiteHuman, SuiteMachine, SuiteRTLLM} {
 		for _, p := range Problems(suite) {
@@ -83,8 +83,8 @@ func TestDifferentialCorpus(t *testing.T) {
 			}
 			prog, err := sim.Compile(design)
 			if err != nil {
-				fallbacks++
-				t.Logf("%s/%s: engine fallback: %v", suite, p.ID, err)
+				rejected++
+				t.Logf("%s/%s: engine rejected: %v", suite, p.ID, err)
 				continue
 			}
 			for _, seed := range []int64{1, 99} {
@@ -93,25 +93,17 @@ func TestDifferentialCorpus(t *testing.T) {
 					t.Fatalf("%s/%s: vectors: %v", suite, p.ID, err)
 				}
 				eng := sim.NewFromProgram(prog)
-				wlk, err := sim.NewWith(design, sim.EngineWalker)
-				if err != nil {
-					t.Fatalf("%s/%s: walker: %v", suite, p.ID, err)
-				}
-				if !wlk.Compiled() && eng.Compiled() {
-					// sanity: the two handles really are different backends
-				} else if wlk.Compiled() {
-					t.Fatalf("%s/%s: walker handle reports compiled", suite, p.ID)
-				}
+				wlk := sim.NewReference(design)
 				if err := lockstep(p, eng, wlk, vectors); err != nil {
 					t.Errorf("%s/%s seed %d: %v", suite, p.ID, seed, err)
 				}
 			}
 		}
 	}
-	// The corpus is the engine's reason to exist: silent mass fallback
-	// would void the perf claim while this test kept passing vacuously.
-	if fallbacks > 0 {
-		t.Errorf("%d/%d corpus designs fell back to the walker; the compiled engine must cover the corpus", fallbacks, total)
+	// The engine is the only production backend: a rejected reference
+	// design would be unscorable, and would pass this test vacuously.
+	if rejected > 0 {
+		t.Errorf("%d/%d corpus designs rejected by the compiler; the compiled engine must cover the corpus", rejected, total)
 	}
 }
 
@@ -135,10 +127,7 @@ func TestDifferentialTestbenchAccounting(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: vectors: %v", suite, p.ID, err)
 			}
-			wlk, err := sim.NewWith(design, sim.EngineWalker)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wlk := sim.NewReference(design)
 			// A golden model that deliberately disagrees on every cycle
 			// forces mismatch accounting through both backends.
 			wrong := func() sim.Golden {
@@ -199,16 +188,13 @@ func TestDifferentialGeneratedCandidates(t *testing.T) {
 			simulated++
 			prog, err := sim.Compile(design)
 			if err != nil {
-				continue // fallback candidates run the walker on both sides
+				continue // not simulable: Check reports the compile error
 			}
 			vectors, err := p.Vectors(rand.New(rand.NewSource(int64(pi*31 + sample))))
 			if err != nil {
 				t.Fatal(err)
 			}
-			wlk, err := sim.NewWith(design, sim.EngineWalker)
-			if err != nil {
-				t.Fatal(err)
-			}
+			wlk := sim.NewReference(design)
 			re, errE := sim.RunTestbenchSim(sim.NewFromProgram(prog), p.Clock, vectors, p.NewGolden())
 			rw, errW := sim.RunTestbenchSim(wlk, p.Clock, vectors, p.NewGolden())
 			if (errE == nil) != (errW == nil) {

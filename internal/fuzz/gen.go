@@ -330,30 +330,14 @@ func (g *generator) pickReadable() signal {
 	return pool[g.rng.Intn(len(pool))]
 }
 
-// ternaryBranches emits two expressions the engine sees as the same
-// width. Branch widths are context-sensitive (idents widen to the
-// surrounding expression, part-selects keep their own width), so both
-// branches must be the same syntactic class: two w-bit slices when any
-// signal is wide enough, else two sized literals.
-func (g *generator) ternaryBranches(w int) (string, string) {
-	var wide []signal
-	for _, s := range g.readable() {
-		if s.width >= w {
-			wide = append(wide, s)
-		}
+// ternaryBranch emits one ?: branch of arbitrary width: any expression,
+// or arithmetic against an unsized (32-bit) literal, so the two branches
+// of one ?: usually differ in width.
+func (g *generator) ternaryBranch(depth int) string {
+	if g.rng.Intn(3) == 0 {
+		return fmt.Sprintf("(%s %s 1)", g.pickReadable().name, []string{"-", "+"}[g.rng.Intn(2)])
 	}
-	if len(wide) > 0 {
-		slice := func() string {
-			s := wide[g.rng.Intn(len(wide))]
-			lo := g.rng.Intn(s.width - w + 1)
-			return fmt.Sprintf("%s[%d:%d]", s.name, lo+w-1, lo)
-		}
-		return slice(), slice()
-	}
-	lit := func() string {
-		return fmt.Sprintf("%d'h%x", w, g.rng.Intn(1<<uint(min(w, 16))))
-	}
-	return lit(), lit()
+	return g.expr(depth)
 }
 
 // expr emits a random expression with the given depth budget.
@@ -389,13 +373,21 @@ func (g *generator) expr(depth int) string {
 	case 2:
 		return fmt.Sprintf("{%s, %s}", g.expr(depth-1), g.expr(depth-1))
 	case 3:
-		// The compiled engine rejects ternaries whose branches have
-		// different widths (walker-fallback territory, which a
-		// differential campaign wants to avoid), so pin both branches
-		// to one width.
-		w := 2 + g.rng.Intn(8)
-		a, b := g.ternaryBranches(w)
-		return fmt.Sprintf("(%s ? %s : %s)", g.expr(0), a, b)
+		// Mixed-width branches: the result takes the wider branch's
+		// width, which a self-determined consumer (concat operand, ~,
+		// comparison operand) makes observable.
+		t := fmt.Sprintf("(%s ? %s : %s)", g.expr(0), g.ternaryBranch(depth-1), g.ternaryBranch(depth-1))
+		switch g.rng.Intn(4) {
+		case 0:
+			return t
+		case 1:
+			return fmt.Sprintf("{%s, %s}", t, g.expr(0))
+		case 2:
+			return fmt.Sprintf("(~%s)", t)
+		default:
+			ops := []string{"==", "!=", "<", ">="}
+			return fmt.Sprintf("((~%s) %s %s)", t, ops[g.rng.Intn(len(ops))], g.expr(0))
+		}
 	default:
 		ops := []string{"+", "-", "&", "|", "^", ">>", "<<"}
 		op := ops[g.rng.Intn(len(ops))]

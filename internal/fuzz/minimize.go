@@ -69,7 +69,7 @@ func canonical(src string) string {
 	if diags.HasErrors() {
 		return src
 	}
-	return verilog.Format(file)
+	return verilog.Print(file)
 }
 
 // countReductions returns how many reduction sites src offers.
@@ -95,7 +95,7 @@ func applyReduction(src string, k int) (string, bool) {
 	if !r.done {
 		return "", false
 	}
-	return verilog.Format(file), true
+	return verilog.Print(file), true
 }
 
 // reducer walks the AST in a fixed order, counting reduction sites;

@@ -142,7 +142,7 @@ func TestSimCachePersistWarmStart(t *testing.T) {
 	st1 := openStore(t, dir)
 	sc1 := NewSimCache(0)
 	sc1.AttachStore(st1, false)
-	p1, _, _ := sc1.Program(persistGood)
+	p1, _, _, _ := sc1.Program(persistGood)
 	if p1 == nil {
 		t.Fatal("source should compile")
 	}
@@ -161,7 +161,7 @@ func TestSimCachePersistWarmStart(t *testing.T) {
 		t.Fatalf("Loaded = %d, want 2", sc2.Loaded())
 	}
 	// The first lookup after warm start is a pure hit.
-	p2, d2, _ := sc2.Program(persistGood)
+	p2, d2, _, _ := sc2.Program(persistGood)
 	if p2 == nil || d2 == nil {
 		t.Fatal("warm-started entry lost its program")
 	}

@@ -13,8 +13,7 @@ package memo
 // instantiated per run via sim.NewFromProgram; the design and diagnostics
 // are shared exactly as the compile cache shares compiler.Result. A
 // source whose design the simulator compiler rejects caches a nil Program
-// (callers fall back to the walker through sim.New) so the rejection is
-// not recomputed either.
+// and the compile error, so the rejection is not recomputed either.
 //
 // Counters: cache hits/misses feed both the per-cache Stats and the
 // process-wide Totals, beside the compile cache's.
@@ -37,7 +36,8 @@ type simEntry struct {
 	file   *verilog.SourceFile
 	design *sema.Design
 	diags  diag.List
-	prog   *sim.Program // nil when design is nil or the engine fell back
+	prog   *sim.Program // nil when design is nil or sim.Compile rejected it
+	err    error        // sim.Compile's rejection; nil when design is nil
 }
 
 type simShard struct {
@@ -103,12 +103,13 @@ func (sc *SimCache) Frontend(src string) (*verilog.SourceFile, *sema.Design, dia
 }
 
 // Program returns the compiled simulation program for src alongside the
-// elaborated design and diagnostics. The program is nil when the source
-// does not elaborate or uses a construct the compiled engine rejects; in
-// the latter case the design is still usable with the walker.
-func (sc *SimCache) Program(src string) (*sim.Program, *sema.Design, diag.List) {
+// elaborated design, diagnostics and compile error. The program is nil
+// when the source does not elaborate (design nil, err nil) or uses a
+// construct the compiled engine rejects (design non-nil, err is
+// sim.Compile's error); such a source is not simulable.
+func (sc *SimCache) Program(src string) (*sim.Program, *sema.Design, diag.List, error) {
 	e := sc.lookup(src)
-	return e.prog, e.design, e.diags
+	return e.prog, e.design, e.diags, e.err
 }
 
 func (sc *SimCache) lookup(src string) simEntry {
@@ -161,9 +162,7 @@ func compileSimEntry(src string) simEntry {
 	e := simEntry{src: src}
 	e.file, e.design, e.diags = compiler.Frontend(src)
 	if e.design != nil {
-		if prog, err := sim.Compile(e.design); err == nil {
-			e.prog = prog
-		}
+		e.prog, e.err = sim.Compile(e.design)
 	}
 	return e
 }

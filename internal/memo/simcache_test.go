@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -15,9 +16,10 @@ module top_module(input clk, input [7:0] d, output reg [7:0] q);
 endmodule
 `
 
-// simCacheFallback elaborates but uses a dynamic replication count, which
-// the compiled engine rejects — the cache must remember the nil program.
-const simCacheFallback = `
+// simCacheUnsimulable elaborates but uses a dynamic replication count,
+// which the compiled engine rejects — the cache must remember the nil
+// program and the compile error.
+const simCacheUnsimulable = `
 module top_module(input [3:0] n, output [7:0] y);
 	assign y = {n{1'b1}};
 endmodule
@@ -31,9 +33,9 @@ endmodule
 
 func TestSimCacheTransparent(t *testing.T) {
 	sc := NewSimCache(0)
-	for _, src := range []string{simCacheGood, simCacheFallback, simCacheBroken} {
+	for _, src := range []string{simCacheGood, simCacheUnsimulable, simCacheBroken} {
 		_, wantDesign, wantDiags := compiler.Frontend(src)
-		prog, design, diags := sc.Program(src)
+		prog, design, diags, err := sc.Program(src)
 		if (design == nil) != (wantDesign == nil) {
 			t.Fatalf("design presence differs from Frontend for %q", src[:20])
 		}
@@ -41,13 +43,12 @@ func TestSimCacheTransparent(t *testing.T) {
 			t.Fatalf("diags differ: %d vs %d", len(diags), len(wantDiags))
 		}
 		if design != nil {
-			wantProg, err := sim.Compile(wantDesign)
-			if (prog == nil) != (err != nil) {
-				t.Fatalf("program presence differs from sim.Compile (err=%v)", err)
+			_, wantErr := sim.Compile(wantDesign)
+			if (prog == nil) != (wantErr != nil) || (err == nil) != (wantErr == nil) {
+				t.Fatalf("program/error presence differs from sim.Compile (err=%v, want %v)", err, wantErr)
 			}
-			_ = wantProg
-		} else if prog != nil {
-			t.Fatal("program must be nil when the design is nil")
+		} else if prog != nil || err != nil {
+			t.Fatal("program and error must be nil when the design is nil")
 		}
 	}
 	if sc.Len() != 3 {
@@ -57,8 +58,8 @@ func TestSimCacheTransparent(t *testing.T) {
 
 func TestSimCacheHitsAndReuse(t *testing.T) {
 	sc := NewSimCache(0)
-	p1, d1, _ := sc.Program(simCacheGood)
-	p2, d2, _ := sc.Program(simCacheGood)
+	p1, d1, _, _ := sc.Program(simCacheGood)
+	p2, d2, _, _ := sc.Program(simCacheGood)
 	if p1 == nil || p1 != p2 || d1 != d2 {
 		t.Fatal("repeat lookups must return the identical cached objects")
 	}
@@ -73,14 +74,19 @@ func TestSimCacheHitsAndReuse(t *testing.T) {
 	if a.Get("q").Uint64() != 2 || b.Get("q").Uint64() != 0 {
 		t.Fatal("cached program leaked state between instances")
 	}
-	// fallback sources cache their nil program (no recompilation storm)
-	if prog, design, _ := sc.Program(simCacheFallback); prog != nil || design == nil {
-		t.Fatal("fallback source must cache design with nil program")
+	// unsimulable sources cache their nil program and compile error
+	// (no recompilation storm)
+	prog, design, _, err := sc.Program(simCacheUnsimulable)
+	var ce *sim.CompileError
+	if prog != nil || design == nil || !errors.As(err, &ce) {
+		t.Fatalf("unsimulable source must cache design, nil program and the compile error; err=%v", err)
 	}
 	before := sc.Stats().Misses
-	sc.Program(simCacheFallback)
+	if _, _, _, again := sc.Program(simCacheUnsimulable); again != err {
+		t.Fatalf("cached error %v, want %v", again, err)
+	}
 	if sc.Stats().Misses != before {
-		t.Fatal("fallback outcome was not cached")
+		t.Fatal("unsimulable outcome was not cached")
 	}
 }
 
@@ -123,13 +129,13 @@ func TestSimCacheCollisionGuard(t *testing.T) {
 
 	// Plant a foreign entry (compiled from a different source) at
 	// simCacheGood's slot.
-	foreign := compileSimEntry(simCacheFallback)
+	foreign := compileSimEntry(simCacheUnsimulable)
 	shard.mu.Lock()
 	shard.entries[key] = foreign
 	shard.order = append(shard.order, key)
 	shard.mu.Unlock()
 
-	prog, design, _ := sc.Program(simCacheGood)
+	prog, design, _, _ := sc.Program(simCacheGood)
 	if design == nil {
 		t.Fatal("collided lookup must recompute the real source")
 	}
@@ -144,7 +150,7 @@ func TestSimCacheCollisionGuard(t *testing.T) {
 		t.Fatalf("collision overwrite must count as an eviction: %+v", st)
 	}
 	// The slot now holds the real source: the next lookup hits.
-	if _, d2, _ := sc.Program(simCacheGood); d2 != design {
+	if _, d2, _, _ := sc.Program(simCacheGood); d2 != design {
 		t.Fatal("recomputed entry was not installed")
 	}
 	if st := sc.Stats(); st.Hits != 1 {
@@ -173,7 +179,7 @@ func TestSimCacheChurnConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				src := srcs[(w*7+i)%distinct]
-				prog, design, diags := sc.Program(src)
+				prog, design, diags, _ := sc.Program(src)
 				if design == nil || prog == nil {
 					t.Errorf("valid source failed under churn: %v", diags)
 					return
@@ -231,7 +237,7 @@ func TestSimCacheConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			p, _, _ := sc.Program(simCacheGood)
+			p, _, _, _ := sc.Program(simCacheGood)
 			progs[i] = p
 		}(i)
 	}

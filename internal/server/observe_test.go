@@ -3,8 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"log/slog"
+	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -12,7 +14,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/compiler"
+	"repro/internal/dataset"
 	"repro/internal/metrics"
+	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -269,6 +274,56 @@ func TestStatsCarriesStagesAndSimCheck(t *testing.T) {
 	}
 	if table := trace.RenderStageTable(wire.Stages); !strings.Contains(table, "compile") {
 		t.Fatalf("stage table missing compile:\n%s", table)
+	}
+}
+
+// TestUnsimulableDesign: a design the compiled engine rejects (a
+// non-constant replication count) is not simulable on any path: sim.New
+// returns the typed compile error, dataset.Check returns an error, and
+// the daemon's smoke check records not_simulable and one skip.
+func TestUnsimulableDesign(t *testing.T) {
+	const src = `module top_module(input [3:0] n, output [7:0] y);
+	assign y = {n{1'b1}};
+endmodule
+`
+	_, design, diags := compiler.Frontend(src)
+	if design == nil {
+		t.Fatalf("elaborate: %s", diags.Summary())
+	}
+	var ce *sim.CompileError
+	if _, err := sim.New(design); !errors.As(err, &ce) {
+		t.Fatalf("sim.New err = %v, want *sim.CompileError", err)
+	}
+	p := dataset.Problems(dataset.SuiteHuman)[0]
+	if _, err := p.Check(src, rand.New(rand.NewSource(1))); err == nil {
+		t.Fatal("dataset.Check must reject an unsimulable candidate")
+	}
+
+	c := trace.NewCollector(0, 0, 0)
+	s, ts := newTestServer(t, Config{Tracing: c})
+	if status, body := postFix(t, ts.URL, map[string]any{"source": src}); status != http.StatusOK || body["success"] != true {
+		t.Fatalf("fix of a clean source failed: %d %v", status, body)
+	}
+	if sc := s.Stats().SimCheck; sc.Checked != 1 || sc.Skipped != 1 {
+		t.Fatalf("sim_check = %+v, want 1 checked, 1 skipped", sc)
+	}
+	var results []any
+	var walk func(sp trace.SpanJSON)
+	walk = func(sp trace.SpanJSON) {
+		if sp.Name == "sim" {
+			results = append(results, sp.Attrs["result"])
+		}
+		for _, ch := range sp.Children {
+			walk(ch)
+		}
+	}
+	for _, sum := range c.Summaries(0) {
+		if tr, ok := c.Get(sum.ID); ok {
+			walk(tr.JSON().Root)
+		}
+	}
+	if len(results) != 1 || results[0] != "not_simulable" {
+		t.Fatalf("sim span results = %v, want [not_simulable]", results)
 	}
 }
 

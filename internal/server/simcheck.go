@@ -43,10 +43,10 @@ func (s *Server) simCheck(tr *agent.Transcript, parent *trace.Span) {
 // runSimCheck is the smoke check for one finished agent run, recording
 // the outcome under a "sim" child of parent. Sources that do not
 // elaborate (the personas accept code the stricter sim frontend
-// rejects) are counted as skipped, not failed; a simulation that blows
-// its watchdog budget is canceled and counted, never request-fatal. The
-// shared SimCache means a coalesced-or-repeated source pays
-// frontend+compile once.
+// rejects) and designs the compiled engine rejects are counted as
+// skipped, not failed; a simulation that blows its watchdog budget is
+// canceled and counted, never request-fatal. The shared SimCache means
+// a coalesced-or-repeated source pays frontend+compile once.
 func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) {
 	if s.simCache == nil || tr == nil || !tr.Success {
 		return
@@ -55,45 +55,30 @@ func (s *Server) runSimCheck(tr *agent.Transcript, parent *trace.Span) {
 	defer sp.End()
 	s.st.simChecks.Inc()
 
-	prog, design, _ := s.simCache.Program(tr.FinalCode)
-	var sm *sim.Simulator
+	prog, design, _, _ := s.simCache.Program(tr.FinalCode)
 	switch {
-	case prog != nil:
-		sm = sim.NewFromProgram(prog)
-	case design != nil:
-		// The compiled engine fell back; the walker is the reference
-		// interpreter and accepts a superset of designs.
-		var err error
-		sm, err = sim.NewWith(design, sim.EngineWalker)
-		if err != nil {
-			sp.SetStr("result", "not_simulable")
-			s.st.simSkipped.Inc()
-			return
-		}
-	default:
+	case design == nil:
 		sp.SetStr("result", "not_elaborable")
 		s.st.simSkipped.Inc()
 		return
+	case prog == nil:
+		sp.SetStr("result", "not_simulable")
+		s.st.simSkipped.Inc()
+		return
 	}
+	sm := sim.NewFromProgram(prog)
 
 	sm.SetWatchdog(resilience.NewWatchdog(simCheckWall, simCheckSteps))
 	if s.simObs != nil {
-		// Observe the check regardless of outcome: coverage on both
-		// backends, the execution profile on the compiled engine. The
-		// fold runs deferred so watchdog/settle exits still report.
+		// Observe the check regardless of outcome: coverage plus the
+		// engine's execution profile. The fold runs deferred so
+		// watchdog/settle exits still report.
 		cov := wave.NewCoverage()
 		sm.Observe(cov)
-		profiled := sm.EnableProfile()
-		if !profiled {
-			sm.EnableActivations()
-		}
+		sm.EnableProfile()
 		defer func() {
 			cov.AddActivations(sm.Activations())
-			var prof *wave.EngineProfile
-			if profiled {
-				prof = sm.Profile()
-			}
-			s.simObs.fold(cov, prof)
+			s.simObs.fold(cov, sm.Profile())
 			sp.SetStr("coverage", cov.Stats().String())
 		}()
 	}

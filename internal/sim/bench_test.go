@@ -92,23 +92,26 @@ func BenchmarkSimCycle(b *testing.B) {
 			widevec.SetBitInPlace(i, true)
 		}
 	}
-	cases := []struct {
-		name   string
-		src    string
-		engine Engine
-		drive  func(b *testing.B, s *Simulator)
-	}{
-		{"narrow/compiled", narrowBenchSrc, EngineCompiled, driveNarrow},
-		{"narrow/walker", narrowBenchSrc, EngineWalker, driveNarrow},
-		{"wide/compiled", wideBenchSrc, EngineCompiled, nil},
-		{"wide/walker", wideBenchSrc, EngineWalker, nil},
-	}
-	for _, bc := range cases {
-		design := benchDesign(b, bc.src)
-		s, err := NewWith(design, bc.engine)
+	compiled := func(d *sema.Design) *Simulator {
+		s, err := New(d)
 		if err != nil {
 			b.Fatal(err)
 		}
+		return s
+	}
+	cases := []struct {
+		name  string
+		src   string
+		build func(*sema.Design) *Simulator
+		drive func(b *testing.B, s *Simulator)
+	}{
+		{"narrow/compiled", narrowBenchSrc, compiled, driveNarrow},
+		{"narrow/walker", narrowBenchSrc, NewReference, driveNarrow},
+		{"wide/compiled", wideBenchSrc, compiled, nil},
+		{"wide/walker", wideBenchSrc, NewReference, nil},
+	}
+	for _, bc := range cases {
+		s := bc.build(benchDesign(b, bc.src))
 		b.Run(bc.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

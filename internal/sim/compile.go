@@ -27,9 +27,8 @@ package sim
 //     walker's oscillation detection.
 //
 // Constructs with dynamically-sized results (non-constant replication
-// counts, mismatched ternary branch widths, non-constant part-select
-// bounds) cannot be assigned a static register width; Compile rejects them
-// with an error and NewWith(EngineAuto) falls back to the walker.
+// counts, non-constant part-select bounds) cannot be assigned a static
+// register width; Compile rejects them with a *CompileError.
 
 import (
 	"fmt"
@@ -204,12 +203,14 @@ func (p *Program) Design() *sema.Design { return p.design }
 // Slots returns the number of interned signals (for tests and stats).
 func (p *Program) Slots() int { return len(p.slots) }
 
-// compileBail carries a compilation rejection up to Compile's recover.
-type compileBail struct{ err error }
+// CompileError reports a construct the compiler cannot express with
+// static register widths. The design elaborated but cannot be simulated.
+type CompileError struct{ msg string }
 
-// Compile lowers the design. A non-nil error means the design uses a
-// construct the compiler cannot express with static register widths; the
-// walker remains available for those.
+func (e *CompileError) Error() string { return "sim: compile: " + e.msg }
+
+// Compile lowers the design. A non-nil error is a *CompileError unless
+// the design is nil.
 func Compile(design *sema.Design) (*Program, error) {
 	if design == nil {
 		return nil, fmt.Errorf("sim: nil design")
@@ -223,8 +224,8 @@ func Compile(design *sema.Design) (*Program, error) {
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
-				if b, ok := r.(compileBail); ok {
-					err = b.err
+				if ce, ok := r.(*CompileError); ok {
+					err = ce
 					return
 				}
 				panic(r)
@@ -247,7 +248,7 @@ type compiler struct {
 }
 
 func (c *compiler) failf(format string, args ...any) {
-	panic(compileBail{fmt.Errorf("sim: compile: "+format, args...)})
+	panic(&CompileError{fmt.Sprintf(format, args...)})
 }
 
 // ---------- registers ----------
@@ -389,7 +390,7 @@ func (c *compiler) run() {
 
 	for _, a := range assigns {
 		c.locals = map[string]int32{}
-		v := c.compileAssignRHS(a.RHS, c.lvalueWidth(a.LHS))
+		v := c.compileExprCtx(a.RHS, c.lvalueWidth(a.LHS))
 		c.compileAssignTo(a.LHS, v)
 		p.nodes = append(p.nodes, c.take())
 		p.tracked = append(p.tracked, nil)
@@ -662,7 +663,7 @@ func (c *compiler) compileStmt(s verilog.Stmt) {
 			c.compileStmt(sub)
 		}
 	case *verilog.AssignStmt:
-		v := c.compileAssignRHS(st.RHS, c.lvalueWidth(st.LHS))
+		v := c.compileExprCtx(st.RHS, c.lvalueWidth(st.LHS))
 		if st.Blocking {
 			c.compileAssignTo(st.LHS, v)
 		} else {
@@ -1088,43 +1089,12 @@ func (c *compiler) compileExprCtx(x verilog.Expr, width int) int32 {
 	}
 }
 
-// compileAssignRHS compiles the right-hand side of an assignment in its
-// l-value context. It differs from compileExprCtx in one way: a ternary
-// here feeds a store that resizes the result, so branches of different
-// widths may be safely unified by zero-extension to the wider width (the
-// walker's per-branch result, resized by the store, is bit-identical to
-// the widened value resized by the store). Nested ternaries inside other
-// operators keep the strict width check, where widening would be
-// observable through width-sensitive operators.
-func (c *compiler) compileAssignRHS(x verilog.Expr, width int) int32 {
-	if n, ok := x.(*verilog.Ternary); ok {
-		return c.compileTernaryWiden(n, width)
-	}
-	return c.compileExprCtx(x, width)
-}
-
-func (c *compiler) compileTernaryWiden(n *verilog.Ternary, ctxWidth int) int32 {
-	return c.lowerTernary(n, ctxWidth, true)
-}
-
 // compileTernary lowers cond ? a : b with both branches writing one
-// destination register. ctxWidth < 0 means self-determined. The walker's
-// result width is whichever branch was taken; outside assignment
-// contexts a static register cannot express branches of different
-// widths, so those designs fall back.
+// destination register. ctxWidth < 0 means self-determined. The result
+// width is the wider branch's (IEEE 1364-2005 Table 5-22); the narrower
+// branch zero-extends into it.
 func (c *compiler) compileTernary(n *verilog.Ternary, ctxWidth int) int32 {
-	return c.lowerTernary(n, ctxWidth, false)
-}
-
-func (c *compiler) lowerTernary(n *verilog.Ternary, ctxWidth int, widen bool) int32 {
 	branch := func(x verilog.Expr) int32 {
-		if widen {
-			if t, ok := x.(*verilog.Ternary); ok {
-				// a chained ternary in branch position is consumed by
-				// the same resizing store, so widening stays safe
-				return c.compileTernaryWiden(t, ctxWidth)
-			}
-		}
 		if ctxWidth >= 0 {
 			return c.compileExprCtx(x, ctxWidth)
 		}
@@ -1138,16 +1108,10 @@ func (c *compiler) lowerTernary(n *verilog.Ternary, ctxWidth int, widen bool) in
 	jmp := c.emit(instr{op: opJump})
 	c.code[jz].imm = int32(len(c.code))
 	re := branch(n.Else)
-	if c.regW(re) != c.regW(dst) {
-		if !widen {
-			c.failf("ternary branches have different widths (%d vs %d) at line %d — result width is value-dependent",
-				c.regW(dst), c.regW(re), n.Pos().Line)
-		}
-		// dst is fresh and unread: retroactively widen it so both copies
-		// zero-extend into the common width.
-		if c.regW(re) > c.regW(dst) {
-			c.prog.regWidth[dst] = c.regW(re)
-		}
+	if c.regW(re) > c.regW(dst) {
+		// dst is fresh and unread: retroactively widen it so both
+		// copies zero-extend into the common width.
+		c.prog.regWidth[dst] = c.regW(re)
 	}
 	c.emit(instr{op: opCopy, dst: dst, a: re})
 	c.code[jmp].imm = int32(len(c.code))

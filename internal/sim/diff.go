@@ -110,10 +110,7 @@ func DiffDesign(design *sema.Design, cfg DiffConfig) (*DiffReport, error) {
 		return nil, fmt.Errorf("compile: %w", err)
 	}
 	eng := NewFromProgram(prog)
-	wlk, err := NewWith(design, EngineWalker)
-	if err != nil {
-		return nil, fmt.Errorf("walker: %w", err)
-	}
+	wlk := NewReference(design)
 	var parts []wave.Observer
 	if cfg.Recorder != nil {
 		parts = append(parts, cfg.Recorder)

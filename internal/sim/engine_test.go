@@ -170,15 +170,10 @@ module osc(input en, output y);
 	assign a = en & ~y;
 	assign y = a;
 endmodule`
-	design := buildDesign(t, src)
-	for _, eng := range []Engine{EngineCompiled, EngineWalker} {
-		s, err := NewWith(design, eng)
-		if err != nil {
-			t.Fatalf("engine %d: %v", eng, err)
-		}
+	for _, s := range bothBackends(t, buildDesign(t, src)) {
 		s.SetInputUint("en", 1)
 		if err := s.Settle(); err == nil {
-			t.Fatalf("engine %d: oscillation must be detected", eng)
+			t.Fatalf("%s: oscillation must be detected", s.name)
 		}
 	}
 }
@@ -227,40 +222,6 @@ endmodule`)
 	}
 }
 
-// TestEngineFallback: constructs the compiler rejects still simulate
-// through the walker under EngineAuto, and EngineCompiled reports the
-// error.
-func TestEngineFallback(t *testing.T) {
-	// dynamic replication count: result width is value-dependent
-	src := `
-module dr(input [3:0] n, output [7:0] y);
-	wire [3:0] w;
-	assign w = n;
-	assign y = {w{1'b1}};
-endmodule`
-	design := buildDesign(t, src)
-	if _, err := Compile(design); err == nil {
-		t.Fatal("dynamic replication must be rejected by the compiler")
-	}
-	if _, err := NewWith(design, EngineCompiled); err == nil {
-		t.Fatal("EngineCompiled must surface the compile error")
-	}
-	s, err := New(design) // EngineAuto
-	if err != nil {
-		t.Fatalf("auto fallback failed: %v", err)
-	}
-	if s.Compiled() {
-		t.Fatal("fallback simulator must report Compiled() == false")
-	}
-	s.SetInputUint("n", 3)
-	if err := s.Settle(); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Get("y").Uint64(); got != 0b111 {
-		t.Fatalf("walker fallback y = %#x, want 0x7", got)
-	}
-}
-
 // TestResetPreservesWidthsAndInits: the satellite contract — Reset reuses
 // storage but keeps declared widths and re-applies declaration
 // initializers, on both backends, across repeated resets.
@@ -276,12 +237,8 @@ module ri(input clk, input [7:0] d, output reg [7:0] q, output [99:0] wide, outp
 		acc <= acc + 1;
 	end
 endmodule`
-	design := buildDesign(t, src)
-	for _, eng := range []Engine{EngineCompiled, EngineWalker} {
-		s, err := NewWith(design, eng)
-		if err != nil {
-			t.Fatalf("engine %d: %v", eng, err)
-		}
+	for _, s := range bothBackends(t, buildDesign(t, src)) {
+		eng := s.name
 		for round := 0; round < 3; round++ {
 			s.SetInputUint("d", 3)
 			for i := 0; i < 4; i++ {
@@ -290,17 +247,17 @@ endmodule`
 				}
 			}
 			if got := s.Get("q").Uint64(); got != 12 {
-				t.Fatalf("engine %d round %d: q = %d, want 12", eng, round, got)
+				t.Fatalf("%s round %d: q = %d, want 12", eng, round, got)
 			}
 			if got := s.Get("acc"); got.Width() != 100 || got.Uint64() != 4 {
-				t.Fatalf("engine %d round %d: acc = %s", eng, round, got.Hex())
+				t.Fatalf("%s round %d: acc = %s", eng, round, got.Hex())
 			}
 			s.Reset()
 			if got := s.Get("q"); got.Width() != 8 || !got.IsZero() {
-				t.Fatalf("engine %d round %d: q after reset = %s", eng, round, got.Hex())
+				t.Fatalf("%s round %d: q after reset = %s", eng, round, got.Hex())
 			}
 			if got := s.Get("acc"); got.Width() != 100 || !got.IsZero() {
-				t.Fatalf("engine %d round %d: acc width %d after reset", eng, round, got.Width())
+				t.Fatalf("%s round %d: acc width %d after reset", eng, round, got.Width())
 			}
 			// A net init (wire inv = ~d[0]) is a continuous assign:
 			// the first settle after reset recomputes it (d zeroed,
@@ -309,7 +266,7 @@ endmodule`
 				t.Fatal(err)
 			}
 			if got := s.Get("inv").Uint64(); got != 1 {
-				t.Fatalf("engine %d round %d: net init not recomputed, inv = %d", eng, round, got)
+				t.Fatalf("%s round %d: net init not recomputed, inv = %d", eng, round, got)
 			}
 		}
 	}
@@ -337,11 +294,7 @@ module alu(input clk, input rst, input [31:0] a, input [31:0] b, input [1:0] op,
 		end
 	end
 endmodule`
-	design := buildDesign(t, src)
-	s, err := NewWith(design, EngineCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, src)
 	av := bitvec.FromUint64(32, 0xDEADBEEF)
 	bv := bitvec.FromUint64(32, 0x12345678)
 	step := func() {
@@ -371,11 +324,7 @@ endmodule`
 // TestEngineWideSteadyStateAllocs: wide (multi-word) designs also run
 // allocation-free once warm.
 func TestEngineWideSteadyStateAllocs(t *testing.T) {
-	design := buildDesign(t, wideBenchSrc)
-	s, err := NewWith(design, EngineCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, wideBenchSrc)
 	in := bitvec.New(255)
 	for i := 0; i < 255; i += 3 {
 		in.SetBitInPlace(i, true)
@@ -421,8 +370,8 @@ endmodule`)
 	}
 }
 
-// TestCompileRejectsUnsupported enumerates constructs that must route to
-// the walker rather than miscompile.
+// TestCompileRejectsUnsupported enumerates constructs the compiler must
+// reject rather than miscompile.
 func TestCompileRejectsUnsupported(t *testing.T) {
 	cases := []string{
 		// unsupported system function

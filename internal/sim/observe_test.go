@@ -20,10 +20,7 @@ endmodule`
 // observer must leave the engine on its zero-allocation steady state —
 // the nil check in Settle is the entire residual cost.
 func TestObserveDetachedZeroAllocs(t *testing.T) {
-	s, err := NewWith(buildDesign(t, obsCtrSrc), EngineCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSim(t, obsCtrSrc)
 	cov := wave.NewCoverage()
 	s.Observe(cov)
 	step := func() {
@@ -46,35 +43,31 @@ func TestObserveDetachedZeroAllocs(t *testing.T) {
 }
 
 // TestObserveCoverageBothBackends: the facade hook lives above the
-// backend split, so the walker is observable too and both backends see
-// the same toggles on the same design.
+// backend split, so the reference walker is observable too and both
+// backends see the same toggles on the same design.
 func TestObserveCoverageBothBackends(t *testing.T) {
-	for _, eng := range []Engine{EngineCompiled, EngineWalker} {
-		s, err := NewWith(buildDesign(t, obsCtrSrc), eng)
-		if err != nil {
-			t.Fatal(err)
-		}
+	var stats []wave.Stats
+	for _, s := range bothBackends(t, buildDesign(t, obsCtrSrc)) {
 		cov := wave.NewCoverage()
 		s.Observe(cov)
-		s.EnableActivations()
 		s.SetInputUint("rst", 0)
 		for i := 0; i < 8; i++ {
 			if err := s.ClockPulse("clk"); err != nil {
 				t.Fatal(err)
 			}
 		}
-		cov.AddActivations(s.Activations())
 		st := cov.Stats()
 		// clk toggles every cycle and q counts 1..8: bits 0..3 all rise.
 		if st.BitsToggled < 4 {
-			t.Errorf("engine %v: BitsToggled = %d, want >= 4", eng, st.BitsToggled)
-		}
-		if st.ProcessesActive != 1 || st.Processes != 1 {
-			t.Errorf("engine %v: processes %d/%d, want 1/1", eng, st.ProcessesActive, st.Processes)
+			t.Errorf("%s: BitsToggled = %d, want >= 4", s.name, st.BitsToggled)
 		}
 		if cov.Signature().Empty() {
-			t.Errorf("engine %v: empty signature", eng)
+			t.Errorf("%s: empty signature", s.name)
 		}
+		stats = append(stats, st)
+	}
+	if stats[0] != stats[1] {
+		t.Errorf("toggle coverage differs: engine %+v, walker %+v", stats[0], stats[1])
 	}
 }
 
@@ -139,17 +132,12 @@ func TestTestbenchWaveformOnFailure(t *testing.T) {
 // TestEngineProfileCounts sanity-checks the opcode histogram and settle
 // accounting against a deterministic run.
 func TestEngineProfileCounts(t *testing.T) {
-	s, err := NewWith(buildDesign(t, `
+	s := newSim(t, `
 module m(input clk, input [3:0] a, output [3:0] y, output reg [3:0] r);
 	assign y = a + 1;
 	always @(posedge clk) r <= y;
-endmodule`), EngineCompiled)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.EnableProfile() {
-		t.Fatal("compiled backend must support profiling")
-	}
+endmodule`)
+	s.EnableProfile()
 	s.SetInputUint("a", 3)
 	for i := 0; i < 4; i++ {
 		if err := s.ClockPulse("clk"); err != nil {
@@ -181,8 +169,7 @@ endmodule`), EngineCompiled)
 }
 
 // TestDiffCoverageAndRecorder: the differential path feeds the engine
-// side into coverage, and walker-only simulators still count
-// activations.
+// side, activations included, into coverage.
 func TestDiffCoverageAndRecorder(t *testing.T) {
 	cov := wave.NewCoverage()
 	rep, err := DiffSource(obsCtrSrc, DiffConfig{Clock: "clk", Cycles: 8, Coverage: cov, Recorder: wave.NewRecorder(4)})

@@ -8,23 +8,21 @@
 // The simulator is two-state (no X/Z). Registers reset to zero, which the
 // benchmark's testbenches account for by driving a reset sequence first.
 //
-// Two execution backends share one public API:
+// Compile lowers the elaborated design once — every signal interned into
+// a dense slot index, every assign and always block flattened into an
+// instruction sequence over those slots, combinational processes
+// scheduled in dependency (topological) order with bounded fixpoint
+// iteration reserved for genuine cycles. Steady-state cycles run with
+// zero heap allocations on designs up to 64 bits wide. Compiled Programs
+// are immutable and shareable; NewFromProgram makes the per-run
+// instantiation cheap. A design Compile rejects is not simulable.
 //
-//   - The compiled engine (the default): Compile lowers the elaborated
-//     design once — every signal interned into a dense slot index, every
-//     assign and always block flattened into an instruction sequence over
-//     those slots, combinational processes scheduled in dependency
-//     (topological) order with bounded fixpoint iteration reserved for
-//     genuine cycles. Steady-state cycles run with zero heap allocations
-//     on designs up to 64 bits wide. Compiled Programs are immutable and
-//     shareable; NewFromProgram makes the per-run instantiation cheap.
-//   - The legacy tree-walker: the original AST interpreter, kept as the
-//     reference oracle (differential tests assert bit-identical outputs)
-//     and as the automatic fallback for the rare construct the compiler
-//     rejects.
+// The original AST interpreter (the tree-walker, walker.go) is kept as a
+// reference oracle only: NewReference builds it, and nothing outside the
+// differential path and tests runs it.
 //
 // DiffSource and DiffDesign are the shared differential path holding the
-// two backends to agreement: both instantiated on one design, driven
+// engine to the reference: both instantiated on one design, driven
 // with identical seeded random inputs, every signal compared every cycle
 // plus the full state at the end. The unit tests, the permanent
 // regression table (engine_regress_test.go), the native
@@ -34,17 +32,14 @@
 // The facade is also the observability hook point: Observe attaches a
 // wave.Observer that receives one full-signal snapshot after every
 // successful Settle (waveform capture, toggle coverage), and
-// EnableProfile/EnableActivations expose the compiled engine's opcode
-// histogram, fixpoint iteration counts, and per-process activation
-// counters. All of it is opt-in and nil-guarded: with nothing attached
-// the hot path pays a single nil check per settle, and the engine's
-// steady-state zero-allocation guarantee is unchanged (pinned by
-// AllocsPerRun tests).
+// EnableProfile/EnableActivations expose the engine's opcode histogram,
+// fixpoint iteration counts, and per-process activation counters. All of
+// it is opt-in and nil-guarded: with nothing attached the hot path pays a
+// single nil check per settle, and the engine's steady-state
+// zero-allocation guarantee is unchanged (pinned by AllocsPerRun tests).
 package sim
 
 import (
-	"fmt"
-
 	"repro/internal/bitvec"
 	"repro/internal/fault"
 	"repro/internal/resilience"
@@ -60,40 +55,28 @@ const settleLimit = 64
 // generated code cannot hang the benchmark harness.
 const loopLimit = 1 << 16
 
-// Engine selects a simulation backend.
-type Engine int
-
-// Backend choices.
-const (
-	// EngineAuto compiles the design and falls back to the walker when
-	// compilation rejects a construct. This is the default.
-	EngineAuto Engine = iota
-	// EngineCompiled requires the compiled backend; New fails when the
-	// design cannot be compiled.
-	EngineCompiled
-	// EngineWalker forces the legacy tree-walking interpreter — the
-	// reference oracle for differential testing.
-	EngineWalker
-)
-
-// backend is the contract both evaluators implement. ClockPulse is built
-// on top of these in the facade so both backends share identical clocking
-// semantics.
+// backend is the contract the engine and the reference walker implement.
+// ClockPulse is built on top of these in the facade so both share
+// identical clocking semantics.
 type backend interface {
 	Reset()
 	Get(name string) bitvec.Vec
 	SetInput(name string, v bitvec.Vec) error
 	SetInputUint(name string, v uint64) error
 	Settle() error
+	// setWatchdog arms the budget checked inside the settle fixpoint
+	// loop, so a runaway settle is canceled mid-iteration, not merely
+	// at the next cycle boundary.
+	setWatchdog(*resilience.Watchdog)
 }
 
-// Simulator is one design instance. It delegates to whichever backend New
-// selected; the API and observable behaviour are identical either way.
+// Simulator is one design instance. It delegates to the compiled engine,
+// or to the walker when built by NewReference; the API and observable
+// signal values are identical either way.
 type Simulator struct {
-	design   *sema.Design
-	b        backend
-	compiled bool
-	wd       *resilience.Watchdog
+	design *sema.Design
+	b      backend
+	wd     *resilience.Watchdog
 
 	// Observation state (observe.go). obs is nil unless an observer is
 	// attached; obsNames/obsVals are the preallocated snapshot carriers
@@ -104,50 +87,24 @@ type Simulator struct {
 	obsTime  uint64
 }
 
-// watchdogSettable is implemented by backends that check the watchdog
-// inside their settle fixpoint loops, so a runaway settle is canceled
-// mid-iteration, not merely at the next cycle boundary.
-type watchdogSettable interface {
-	setWatchdog(*resilience.Watchdog)
-}
-
 // SetWatchdog arms (or, with nil, disarms) a wall-clock/cycle budget on
 // this simulator. Every Settle — including the three inside ClockPulse —
 // consumes one watchdog step, and both backends check the budget inside
 // their fixpoint loops. A nil watchdog costs nothing on the hot path.
 func (s *Simulator) SetWatchdog(wd *resilience.Watchdog) {
 	s.wd = wd
-	if ws, ok := s.b.(watchdogSettable); ok {
-		ws.setWatchdog(wd)
-	}
+	s.b.setWatchdog(wd)
 }
 
-// New builds a simulator over an elaborated design using the default
-// backend policy (EngineAuto). It fails when the design is nil or uses
-// constructs neither backend supports.
+// New compiles the design and builds a simulator over it. It fails with
+// Compile's error (a *CompileError for an unsupported construct) when the
+// design is nil or cannot be compiled.
 func New(design *sema.Design) (*Simulator, error) {
-	return NewWith(design, EngineAuto)
-}
-
-// NewWith builds a simulator with an explicit backend choice.
-func NewWith(design *sema.Design, eng Engine) (*Simulator, error) {
-	if design == nil {
-		return nil, fmt.Errorf("sim: nil design")
-	}
-	if eng != EngineWalker {
-		prog, err := Compile(design)
-		if err == nil {
-			return &Simulator{design: design, b: newEngine(prog), compiled: true}, nil
-		}
-		if eng == EngineCompiled {
-			return nil, err
-		}
-	}
-	w, err := newWalkerSim(design)
+	prog, err := Compile(design)
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{design: design, b: w}, nil
+	return NewFromProgram(prog), nil
 }
 
 // NewFromProgram instantiates a simulator over an already-compiled
@@ -155,11 +112,15 @@ func NewWith(design *sema.Design, eng Engine) (*Simulator, error) {
 // each call returns independent mutable state, so a cached Program turns
 // the per-testbench-run cost into a single allocation pass.
 func NewFromProgram(p *Program) *Simulator {
-	return &Simulator{design: p.design, b: newEngine(p), compiled: true}
+	return &Simulator{design: p.design, b: newEngine(p)}
 }
 
-// Compiled reports whether the compiled engine backs this simulator.
-func (s *Simulator) Compiled() bool { return s.compiled }
+// NewReference builds a simulator over a non-nil design, backed by the
+// tree-walking reference interpreter — the oracle DiffDesign holds the
+// engine to.
+func NewReference(design *sema.Design) *Simulator {
+	return &Simulator{design: design, b: newWalkerSim(design)}
+}
 
 // Design returns the elaborated design the simulator runs.
 func (s *Simulator) Design() *sema.Design { return s.design }

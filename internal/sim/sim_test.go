@@ -31,6 +31,23 @@ func newSim(t *testing.T, src string) *Simulator {
 	return s
 }
 
+// namedSim is one backend's simulator, named for failure messages.
+type namedSim struct {
+	name string
+	*Simulator
+}
+
+// bothBackends builds the compiled engine and the reference walker over
+// one design.
+func bothBackends(t *testing.T, design *sema.Design) []namedSim {
+	t.Helper()
+	eng, err := New(design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []namedSim{{"engine", eng}, {"walker", NewReference(design)}}
+}
+
 func TestSimAssignNot(t *testing.T) {
 	s := newSim(t, `
 module m(input [7:0] in, output [7:0] out);

@@ -49,7 +49,7 @@ type TBResult struct {
 	// run was observed with a recorder and failed; empty otherwise.
 	Waveform string
 	// Profile is the engine execution profile when the run was observed
-	// with TBObserve.Profile on a compiled simulator; nil otherwise.
+	// with TBObserve.Profile; nil otherwise, and on a reference simulator.
 	Profile *wave.EngineProfile
 }
 
@@ -86,8 +86,7 @@ type TBObserve struct {
 	// Coverage, when non-nil, accumulates toggle/activity coverage over
 	// the run (activation counts are folded in when the run ends).
 	Coverage *wave.Coverage
-	// Profile requests an engine execution profile in TBResult.Profile
-	// (compiled backend only).
+	// Profile requests an engine execution profile in TBResult.Profile.
 	Profile bool
 }
 

@@ -1,12 +1,12 @@
 package sim
 
-// This file is the legacy tree-walking evaluator: a direct interpreter
+// This file is the tree-walking reference evaluator: a direct interpreter
 // over the AST with map-keyed signal storage and immutable bitvec
-// operations. It is retained verbatim as the reference oracle — the
-// compiled engine (compile.go / engine.go) must produce bit-identical
-// outputs, which the differential corpus tests assert — and as the
-// automatic fallback for designs the compiler cannot lower. Select it
-// explicitly with NewWith(design, EngineWalker).
+// operations. It is the oracle the compiled engine (compile.go /
+// engine.go) is held to — the differential corpus tests, the regression
+// table and the fuzz campaigns assert bit-identical outputs. It is not a
+// production path: NewReference builds it, and only DiffDesign and tests
+// call that.
 
 import (
 	"fmt"
@@ -32,35 +32,14 @@ type walkerSim struct {
 	// wd, when armed via Simulator.SetWatchdog, is checked inside the
 	// settle fixpoint so a runaway settle is canceled mid-iteration.
 	wd *resilience.Watchdog
-
-	// actCounts, nil unless enabled via the facade, counts per-process
-	// executions: assigns, then comb always, then seq always blocks.
-	actCounts []uint64
 }
 
 func (s *walkerSim) setWatchdog(wd *resilience.Watchdog) { s.wd = wd }
 
-// enableActivations (re)arms per-process activation counting; counters
-// are zeroed so each run reads as its own delta.
-func (s *walkerSim) enableActivations() {
-	n := len(s.assigns) + len(s.combAlways) + len(s.seqAlways)
-	if len(s.actCounts) != n {
-		s.actCounts = make([]uint64, n)
-		return
-	}
-	for i := range s.actCounts {
-		s.actCounts[i] = 0
-	}
-}
-
-func (s *walkerSim) activationCounts() []uint64 { return s.actCounts }
-
-// New builds a simulator over an elaborated design. It fails when the
-// design uses constructs the simulator does not support.
-func newWalkerSim(design *sema.Design) (*walkerSim, error) {
-	if design == nil {
-		return nil, fmt.Errorf("sim: nil design")
-	}
+// newWalkerSim builds a reference instance over a non-nil elaborated
+// design. Unsupported constructs surface as errors when they are
+// evaluated.
+func newWalkerSim(design *sema.Design) *walkerSim {
 	s := &walkerSim{
 		design: design,
 		values: map[string]bitvec.Vec{},
@@ -98,7 +77,7 @@ func newWalkerSim(design *sema.Design) (*walkerSim, error) {
 		}
 	}
 	s.applyDeclInits()
-	return s, nil
+	return s
 }
 
 // Reset zeroes every signal and re-applies declaration initializers. The
@@ -188,7 +167,7 @@ func (s *walkerSim) SetInputUint(name string, v uint64) error {
 // the given signal, with non-blocking semantics across blocks.
 func (s *walkerSim) fireEdge(name string, edge verilog.EventEdge) error {
 	var fired []*verilog.AlwaysBlock
-	for bi, blk := range s.seqAlways {
+	for _, blk := range s.seqAlways {
 		for _, ev := range blk.Events {
 			id, ok := ev.Signal.(*verilog.Ident)
 			if !ok || id.Name != name {
@@ -196,9 +175,6 @@ func (s *walkerSim) fireEdge(name string, edge verilog.EventEdge) error {
 			}
 			if ev.Edge == edge {
 				fired = append(fired, blk)
-				if s.actCounts != nil {
-					s.actCounts[len(s.assigns)+len(s.combAlways)+bi]++
-				}
 				break
 			}
 		}
@@ -235,10 +211,7 @@ func (s *walkerSim) Settle() error {
 			return err
 		}
 		changed := false
-		for ai, a := range s.assigns {
-			if s.actCounts != nil {
-				s.actCounts[ai]++
-			}
+		for _, a := range s.assigns {
 			env := newEnv(s)
 			v, err := env.evalCtx(a.RHS, env.lvalueWidth(a.LHS))
 			if err != nil {
@@ -248,10 +221,7 @@ func (s *walkerSim) Settle() error {
 				changed = true
 			}
 		}
-		for bi, blk := range s.combAlways {
-			if s.actCounts != nil {
-				s.actCounts[len(s.assigns)+bi]++
-			}
+		for _, blk := range s.combAlways {
 			env := newEnv(s)
 			before := snapshotTargets(s, blk)
 			if err := env.exec(blk.Body); err != nil {
@@ -713,14 +683,7 @@ func (e *env) evalCtx(x verilog.Expr, width int) (bitvec.Vec, error) {
 		}
 		return e.eval(x)
 	case *verilog.Ternary:
-		c, err := e.eval(n.Cond)
-		if err != nil {
-			return bitvec.Vec{}, err
-		}
-		if c.Bool() {
-			return e.evalCtx(n.Then, width)
-		}
-		return e.evalCtx(n.Else, width)
+		return e.evalTernary(n, func(x verilog.Expr) (bitvec.Vec, error) { return e.evalCtx(x, width) })
 	default:
 		return e.eval(x)
 	}
@@ -757,14 +720,7 @@ func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
 		}
 		return evalBinary(n.Op, a, b)
 	case *verilog.Ternary:
-		c, err := e.eval(n.Cond)
-		if err != nil {
-			return bitvec.Vec{}, err
-		}
-		if c.Bool() {
-			return e.eval(n.Then)
-		}
-		return e.eval(n.Else)
+		return e.evalTernary(n, e.eval)
 	case *verilog.Concat:
 		out := bitvec.New(0)
 		for _, el := range n.Elems {
@@ -831,6 +787,29 @@ func (e *env) eval(x verilog.Expr) (bitvec.Vec, error) {
 		return e.evalCall(n)
 	}
 	return bitvec.Vec{}, fmt.Errorf("sim: unsupported expression at line %d", x.Pos().Line)
+}
+
+// evalTernary evaluates cond ? a : b, each branch through branch. The
+// result takes the wider branch's width (IEEE 1364-2005 Table 5-22), so
+// the unselected branch is evaluated for its width too.
+func (e *env) evalTernary(n *verilog.Ternary, branch func(verilog.Expr) (bitvec.Vec, error)) (bitvec.Vec, error) {
+	c, err := e.eval(n.Cond)
+	if err != nil {
+		return bitvec.Vec{}, err
+	}
+	a, err := branch(n.Then)
+	if err != nil {
+		return bitvec.Vec{}, err
+	}
+	b, err := branch(n.Else)
+	if err != nil {
+		return bitvec.Vec{}, err
+	}
+	w := max(a.Width(), b.Width())
+	if c.Bool() {
+		return a.Resize(w), nil
+	}
+	return b.Resize(w), nil
 }
 
 func (e *env) evalCall(n *verilog.Call) (bitvec.Vec, error) {

@@ -10,7 +10,7 @@ import (
 	"repro/internal/verilog"
 )
 
-func buildSim(t *testing.T, eng Engine) *Simulator {
+func watchdogDesign(t *testing.T) *sema.Design {
 	t.Helper()
 	src := `module top_module(input clk, input [3:0] in, output reg [3:0] out);
   wire [3:0] next = in ^ 4'b0101;
@@ -25,30 +25,26 @@ endmodule
 	if d == nil {
 		t.Fatalf("elaborate: %v", derr)
 	}
-	sm, err := NewWith(d, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sm
+	return d
 }
 
 // TestWatchdogStepBudget: each Settle (and each of ClockPulse's three
 // internal settles) consumes a step; exceeding the budget cancels the
 // run with a typed watchdog error on both backends.
 func TestWatchdogStepBudget(t *testing.T) {
-	for _, eng := range []Engine{EngineCompiled, EngineWalker} {
-		sm := buildSim(t, eng)
+	for _, sm := range bothBackends(t, watchdogDesign(t)) {
+		eng := sm.name
 		sm.SetWatchdog(resilience.NewWatchdog(0, 4))
 		if err := sm.ClockPulse("clk"); err != nil { // 3 steps
-			t.Fatalf("engine %v: first pulse: %v", eng, err)
+			t.Fatalf("%s: first pulse: %v", eng, err)
 		}
 		err := sm.ClockPulse("clk") // steps 4, 5: trips mid-pulse
 		if err == nil || !resilience.IsWatchdog(err) {
-			t.Fatalf("engine %v: over-budget pulse err = %v", eng, err)
+			t.Fatalf("%s: over-budget pulse err = %v", eng, err)
 		}
 		sm.SetWatchdog(nil) // disarmed: runs freely again
 		if err := sm.ClockPulse("clk"); err != nil {
-			t.Fatalf("engine %v: disarmed pulse: %v", eng, err)
+			t.Fatalf("%s: disarmed pulse: %v", eng, err)
 		}
 	}
 }
@@ -58,9 +54,11 @@ func TestWatchdogStepBudget(t *testing.T) {
 func TestWatchdogWallClockUnderStall(t *testing.T) {
 	fault.Install(fault.MustParse("sim.stall:1:20ms", 1))
 	defer fault.Uninstall()
-	sm := buildSim(t, EngineAuto)
+	sm, err := New(watchdogDesign(t))
+	if err != nil {
+		t.Fatal(err)
+	}
 	sm.SetWatchdog(resilience.NewWatchdog(5*time.Millisecond, 0))
-	var err error
 	for i := 0; i < 3 && err == nil; i++ {
 		err = sm.Settle()
 	}

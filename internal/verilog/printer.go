@@ -9,8 +9,9 @@ import (
 // canonically formatted (tab indentation, one item per line) and is
 // guaranteed to re-parse to an equivalent AST — the round-trip property
 // the printer tests assert. The agent does not use the printer for its
-// edits (those are deliberately textual, like a chat model's), but
-// tooling built on the frontend does.
+// edits (those are deliberately textual, like a chat model's), but the
+// fuzz minimizer does: it mutates a parsed AST, prints it, and re-runs
+// the full frontend.
 func Print(file *SourceFile) string {
 	var p printer
 	for _, d := range file.Directives {

@@ -62,6 +62,80 @@ endmodule`,
 	}
 }
 
+// TestFormatRoundTrip checks the printer's core contract on the statement
+// and expression forms the fuzz minimizer prints: Print output re-parses
+// cleanly, and printing the re-parsed AST reproduces the same text (fixed
+// point after one canonicalization pass).
+func TestFormatRoundTrip(t *testing.T) {
+	srcs := []string{
+		`module m(input clk, input [7:0] d, output reg [7:0] q);
+	always @(posedge clk) begin
+		q = d;
+		q[4:1] = q;
+	end
+endmodule`,
+		`module m(input [7:0] a, input [7:0] b, output [7:0] y, output c);
+	wire [8:0] s = a + b;
+	assign y = s[7:0];
+	assign c = s[8];
+endmodule`,
+		`module m(input clk, input rst, input in, output reg out);
+	reg [1:0] state;
+	always @(posedge clk or posedge rst) begin
+		if (rst)
+			state <= 2'b00;
+		else
+			case (state)
+				2'b00: state <= in ? 2'b01 : 2'b00;
+				2'b01, 2'b10: state <= 2'b10;
+				default: state <= 2'b00;
+			endcase
+	end
+	always @(*) out = state == 2'b10;
+endmodule`,
+		`module m(input clk, input [7:0] d, output reg [7:0] q);
+	integer i;
+	always @(posedge clk)
+		for (i = 0; i < 8; i = i + 1)
+			q[i] <= d[7 - i];
+endmodule`,
+		`module m(input [15:0] in, input [3:0] base, output [3:0] lo, output [3:0] hi);
+	assign lo = in[base +: 4];
+	assign hi = in[base -: 4];
+endmodule`,
+		`module m(input [3:0] a, output [15:0] y);
+	parameter W = 4;
+	localparam D = W * 2;
+	assign y = {D{a[0]}} | {a, a, a, a};
+endmodule`,
+		`module m(input [7:0] a, output signed [8:0] y);
+	assign y = $signed(a) + $signed(4'b1010);
+endmodule`,
+		`module m(input clk, input [7:0] d, output reg [7:0] q);
+	always @(posedge clk) begin : blk
+		integer i;
+		for (i = 0; i < 4; i = i + 1)
+			q[i] <= d[i] & ~d[i + 4];
+	end
+endmodule`,
+	}
+	for i, src := range srcs {
+		file, diags := Parse(src)
+		if diags.HasErrors() {
+			t.Fatalf("case %d: seed source does not parse: %s", i, diags.Summary())
+		}
+		once := Print(file)
+		file2, diags := Parse(once)
+		if diags.HasErrors() {
+			t.Fatalf("case %d: printed output does not re-parse: %s\n%s", i, diags.Summary(), once)
+		}
+		twice := Print(file2)
+		if once != twice {
+			t.Fatalf("case %d: printer is not a fixed point.\nfirst:\n%s\nsecond:\n%s", i, once, twice)
+		}
+	}
+}
+
 func TestPrintPreservesModuleShape(t *testing.T) {
 	src := `module m #(parameter W = 8) (
 	input clk,
