@@ -122,7 +122,7 @@ func TestAnalyzerPanicIsolated(t *testing.T) {
 
 // TestEmptyProfileTranscriptsIdentical: installing an EMPTY fault
 // registry must not perturb transcripts — the acceptance bar for
-// byte-identical benchmark output under "-fault-profile ''".
+// byte-identical benchmark output under an empty -fault-profile ("").
 func TestEmptyProfileTranscriptsIdentical(t *testing.T) {
 	base := RunReAct(quartusCfg(7, true), brokenClk)
 	fault.Install(fault.MustParse("", 7))

@@ -6,10 +6,7 @@
 // quotes — so the agent spends its iterations on real syntax errors.
 package fixer
 
-import (
-	"regexp"
-	"strings"
-)
+import "strings"
 
 // Result reports what the fixer did.
 type Result struct {
@@ -128,13 +125,17 @@ func looksLikeVerilogStart(t string) bool {
 		strings.HasPrefix(t, "/*")
 }
 
+// smartQuotes maps typographic quotes to their ASCII forms. A Replacer
+// is safe for concurrent use, so one serves every call.
+var smartQuotes = strings.NewReplacer(
+	"‘", "'", "’", "'",
+	"“", `"`, "”", `"`,
+)
+
 // normalizeSmartQuotes replaces typographic quotes that chat output
 // sometimes carries into string or literal positions.
 func normalizeSmartQuotes(src string) (string, bool) {
-	replaced := strings.NewReplacer(
-		"‘", "'", "’", "'",
-		"“", `"`, "”", `"`,
-	).Replace(src)
+	replaced := smartQuotes.Replace(src)
 	return replaced, replaced != src
 }
 
@@ -167,22 +168,53 @@ func hoistTimescale(src string) (string, bool) {
 	return strings.Join(append(directives, rest...), "\n"), true
 }
 
-// moduleTokenRe and endmoduleTokenRe match the keywords as whole tokens:
-// substring counting would see a spurious "module" inside identifiers like
-// `top_module` (ubiquitous in VerilogEval sources) and inflate the open
-// count, so stacked duplicate `endmodule`s were never removed. \b treats
-// `_` as a word character, so neither regexp matches inside identifiers,
-// and `module` does not match inside `endmodule`.
-var (
-	moduleTokenRe    = regexp.MustCompile(`\bmodule\b`)
-	endmoduleTokenRe = regexp.MustCompile(`\bendmodule\b`)
-)
+// CountWord counts the whole-word occurrences of word in s: exactly the
+// matches of the regexp `\b`+regexp.QuoteMeta(word)+`\b`, found left to
+// right without overlap, where \b uses the ASCII word class [0-9A-Za-z_].
+// Whole words matter because substring counting would see a spurious
+// "module" inside identifiers like `top_module` (ubiquitous in
+// VerilogEval sources) and inflate the open count, so stacked duplicate
+// `endmodule`s were never removed. `_` is a word character, so a keyword
+// never matches inside an identifier, and `module` does not match inside
+// `endmodule`. CountWord does not allocate.
+func CountWord(s, word string) int {
+	n := 0
+	for k := 0; k+len(word) <= len(s); {
+		j := strings.Index(s[k:], word)
+		if j < 0 {
+			break
+		}
+		k += j
+		if !wordBoundary(s, k) || !wordBoundary(s, k+len(word)) {
+			k++ // the regexp retries one byte on
+			continue
+		}
+		n++
+		k += max(len(word), 1) // an empty word matches once per boundary
+	}
+	return n
+}
+
+// wordBoundary reports whether \b holds between s[p-1] and s[p].
+func wordBoundary(s string, p int) bool {
+	return isWordByte(s, p-1) != isWordByte(s, p)
+}
+
+// isWordByte reports whether s[i] exists and is in [0-9A-Za-z_]. Bytes of
+// multi-byte runes are never word bytes, matching \b's ASCII class.
+func isWordByte(s string, i int) bool {
+	if i < 0 || i >= len(s) {
+		return false
+	}
+	c := s[i]
+	return c == '_' || ('a' <= c && c <= 'z') || ('A' <= c && c <= 'Z') || ('0' <= c && c <= '9')
+}
 
 // dropDuplicateEndmodule removes endmodule keywords beyond the balance
 // point (one endmodule per module).
 func dropDuplicateEndmodule(src string) (string, bool) {
-	closes := len(endmoduleTokenRe.FindAllStringIndex(src, -1))
-	opens := len(moduleTokenRe.FindAllStringIndex(src, -1))
+	closes := CountWord(src, "endmodule")
+	opens := CountWord(src, "module")
 	if closes <= opens || closes <= 1 {
 		return src, false
 	}
