@@ -6,71 +6,111 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
-	"strings"
 )
 
 // Noise is the label DBSCAN assigns to points in no cluster.
 const Noise = -1
 
+// Set is a shingle set: the 64-bit FNV-1a hash of each distinct shingle,
+// sorted ascending with no duplicates. Two sets are compared by a merge
+// over their hashes, so Jaccard allocates nothing and touches each hash
+// once.
+type Set []uint64
+
+// FNV-1a 64-bit parameters (the same family hash/fnv implements).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
 // Shingles tokenizes src and returns the set of k-token shingles. Shingle
 // sets are the standard representation for Jaccard similarity over code.
-func Shingles(src string, k int) map[string]struct{} {
-	toks := tokenize(src)
-	out := map[string]struct{}{}
+// Each shingle is hashed as its tokens joined by a single space; tokens
+// never contain a space, so distinct token sequences hash distinct byte
+// strings, and only a 64-bit collision can merge two shingles. Input with
+// fewer than k tokens yields one shingle over all of them.
+func Shingles(src string, k int) Set {
 	if k <= 0 {
 		k = 1
 	}
+	toks := tokenize(src)
+	if len(toks) == 0 {
+		return Set{}
+	}
 	if len(toks) < k {
-		if len(toks) > 0 {
-			out[strings.Join(toks, " ")] = struct{}{}
-		}
-		return out
+		k = len(toks)
 	}
+	out := make(Set, 0, len(toks)-k+1)
 	for i := 0; i+k <= len(toks); i++ {
-		out[strings.Join(toks[i:i+k], " ")] = struct{}{}
+		h := uint64(fnvOffset64)
+		for j, t := range toks[i : i+k] {
+			if j > 0 {
+				h = (h ^ ' ') * fnvPrime64
+			}
+			for p := t.start; p < t.end; p++ {
+				h = (h ^ uint64(src[p])) * fnvPrime64
+			}
+		}
+		out = append(out, h)
 	}
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
+// span is one token: the byte range src[start:end].
+type span struct{ start, end int }
+
 // tokenize is a lightweight code tokenizer: identifiers/numbers clump,
-// punctuation splits, whitespace separates.
-func tokenize(src string) []string {
-	var toks []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			toks = append(toks, cur.String())
-			cur.Reset()
+// punctuation splits, whitespace separates. Every token is a contiguous
+// byte range of src, so it is returned as a span instead of a string.
+func tokenize(src string) []span {
+	var toks []span
+	start := -1 // start of the identifier run in progress, or -1
+	flush := func(i int) {
+		if start >= 0 {
+			toks = append(toks, span{start, i})
+			start = -1
 		}
 	}
 	for i := 0; i < len(src); i++ {
 		c := src[i]
 		switch {
 		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			flush()
+			flush(i)
 		case (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
 			(c >= '0' && c <= '9') || c == '_' || c == '\'':
-			cur.WriteByte(c)
+			if start < 0 {
+				start = i
+			}
 		default:
-			flush()
-			toks = append(toks, string(c))
+			flush(i)
+			toks = append(toks, span{i, i + 1})
 		}
 	}
-	flush()
+	flush(len(src))
 	return toks
 }
 
-// Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of two sets.
-// Two empty sets are defined as identical (similarity 1).
-func Jaccard(a, b map[string]struct{}) float64 {
+// Jaccard returns the Jaccard similarity |A∩B| / |A∪B| of two sets,
+// counting the intersection with a two-pointer merge. Two empty sets are
+// defined as identical (similarity 1).
+func Jaccard(a, b Set) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 1
 	}
 	inter := 0
-	for s := range a {
-		if _, ok := b[s]; ok {
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
 			inter++
+			i++
+			j++
 		}
 	}
 	union := len(a) + len(b) - inter
@@ -81,7 +121,7 @@ func Jaccard(a, b map[string]struct{}) float64 {
 }
 
 // JaccardDistance returns 1 - Jaccard similarity.
-func JaccardDistance(a, b map[string]struct{}) float64 { return 1 - Jaccard(a, b) }
+func JaccardDistance(a, b Set) float64 { return 1 - Jaccard(a, b) }
 
 // DBSCAN clusters n points given a pairwise distance function. eps is the
 // neighbourhood radius and minPts the core-point density threshold

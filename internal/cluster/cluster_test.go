@@ -2,16 +2,32 @@ package cluster
 
 import (
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
+// fnvHash is hash/fnv's FNV-1a over s: the hash Shingles must give a
+// shingle whose tokens, joined by one space, spell s.
+func fnvHash(s string) uint64 {
+	h := fnv.New64a()
+	h.Write([]byte(s))
+	return h.Sum64()
+}
+
+func has(s Set, shingle string) bool {
+	_, ok := slices.BinarySearch(s, fnvHash(shingle))
+	return ok
+}
+
 func TestShingles(t *testing.T) {
 	s := Shingles("assign y = a & b ;", 2)
-	if _, ok := s["assign y"]; !ok {
+	if !has(s, "assign y") {
 		t.Errorf("missing shingle 'assign y': %v", s)
 	}
-	if _, ok := s["& b"]; !ok {
+	if !has(s, "& b") {
 		t.Errorf("missing shingle '& b': %v", s)
 	}
 }
@@ -35,7 +51,7 @@ func TestJaccardBasics(t *testing.T) {
 	if sim := Jaccard(a, b); sim > 0.2 {
 		t.Errorf("unrelated code similarity %.2f too high", sim)
 	}
-	if Jaccard(map[string]struct{}{}, map[string]struct{}{}) != 1 {
+	if Jaccard(Set{}, Set{}) != 1 {
 		t.Error("two empty sets are identical by definition")
 	}
 }
@@ -55,13 +71,109 @@ func TestJaccardSymmetric(t *testing.T) {
 	}
 }
 
-func randSet(rng *rand.Rand) map[string]struct{} {
-	out := map[string]struct{}{}
+func randSet(rng *rand.Rand) Set {
+	var words []string
 	n := rng.Intn(20)
 	for i := 0; i < n; i++ {
-		out[fmt.Sprintf("tok%d", rng.Intn(30))] = struct{}{}
+		words = append(words, fmt.Sprintf("tok%d", rng.Intn(30)))
+	}
+	return Shingles(strings.Join(words, " "), 1)
+}
+
+// oracleShingles and oracleJaccard are the string-set implementation the
+// hashed Set replaced, kept as the differential oracle: tokens are joined
+// by one space into map keys, and the intersection is counted by lookup.
+func oracleShingles(src string, k int) map[string]struct{} {
+	toks := oracleTokenize(src)
+	out := map[string]struct{}{}
+	if k <= 0 {
+		k = 1
+	}
+	if len(toks) < k {
+		if len(toks) > 0 {
+			out[strings.Join(toks, " ")] = struct{}{}
+		}
+		return out
+	}
+	for i := 0; i+k <= len(toks); i++ {
+		out[strings.Join(toks[i:i+k], " ")] = struct{}{}
 	}
 	return out
+}
+
+func oracleTokenize(src string) []string {
+	var toks []string
+	var cur strings.Builder
+	flush := func() {
+		if cur.Len() > 0 {
+			toks = append(toks, cur.String())
+			cur.Reset()
+		}
+	}
+	for i := 0; i < len(src); i++ {
+		c := src[i]
+		switch {
+		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
+			flush()
+		case (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+			(c >= '0' && c <= '9') || c == '_' || c == '\'':
+			cur.WriteByte(c)
+		default:
+			flush()
+			toks = append(toks, string(c))
+		}
+	}
+	flush()
+	return toks
+}
+
+func oracleJaccard(a, b map[string]struct{}) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 1
+	}
+	inter := 0
+	for s := range a {
+		if _, ok := b[s]; ok {
+			inter++
+		}
+	}
+	union := len(a) + len(b) - inter
+	if union == 0 {
+		return 1
+	}
+	return float64(inter) / float64(union)
+}
+
+// FuzzShingleJaccard checks the hashed sets against the string-set
+// oracle: each Set is strictly increasing with one hash per distinct
+// shingle, and Jaccard is bit-identical to the oracle's.
+func FuzzShingleJaccard(f *testing.F) {
+	f.Add("assign y = a & b;", "assign y = a | b;", uint8(2))
+	f.Add("module m(input a, output y); assign y = ~a; endmodule", "module m; endmodule", uint8(3))
+	f.Add("", "", uint8(0))
+	f.Add("a a a a a a", "a", uint8(4))
+	f.Add("always @(posedge clk) q <= 8'h00;", "\xc3\xa9 \t\r\n x_1", uint8(1))
+	f.Fuzz(func(t *testing.T, a, b string, kb uint8) {
+		k := int(kb%5) + 1
+		sa, sb := Shingles(a, k), Shingles(b, k)
+		oa, ob := oracleShingles(a, k), oracleShingles(b, k)
+		for _, c := range []struct {
+			set    Set
+			oracle map[string]struct{}
+		}{{sa, oa}, {sb, ob}} {
+			for i := 1; i < len(c.set); i++ {
+				if c.set[i-1] >= c.set[i] {
+					t.Fatalf("set not strictly increasing at %d: %v", i, c.set)
+				}
+			}
+			if len(c.set) != len(c.oracle) {
+				t.Fatalf("k=%d: %d hashes, oracle has %d shingles", k, len(c.set), len(c.oracle))
+			}
+		}
+		if got, want := Jaccard(sa, sb), oracleJaccard(oa, ob); got != want {
+			t.Fatalf("k=%d: Jaccard = %v, oracle %v", k, got, want)
+		}
+	})
 }
 
 // TestDBSCANTwoBlobs clusters two well-separated groups plus an outlier.
@@ -182,7 +294,7 @@ func TestSimilarCodeClusters(t *testing.T) {
 		"module c(input clk, input rst, output reg [7:0] q); always @(posedge clk) q <= rst ? 0 : q + 1; endmodule",
 		"module c(input clk, input rst, output reg [7:0] q); always @(posedge clk) q <= rst ? 8'h00 : q + 1; endmodule",
 	}
-	sets := make([]map[string]struct{}, len(variants))
+	sets := make([]Set, len(variants))
 	for i, v := range variants {
 		sets[i] = Shingles(v, 3)
 	}

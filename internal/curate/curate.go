@@ -138,13 +138,24 @@ func Build(opts Options) ([]Entry, Stats) {
 	stats.Filtered = len(filtered)
 
 	// --- clustering: DBSCAN over Jaccard distance on token shingles,
-	// then keep cluster representatives plus noise points.
-	shingles := make([]map[string]struct{}, len(filtered))
+	// then keep cluster representatives plus noise points. DBSCAN and
+	// Representatives ask for every ordered pair, several times over, so
+	// the symmetric distance matrix is filled once from its upper
+	// triangle and read from there.
+	n := len(filtered)
+	shingles := make([]cluster.Set, n)
 	for i, e := range filtered {
 		shingles[i] = cluster.Shingles(e.Code, 4)
 	}
-	dist := func(i, j int) float64 { return cluster.JaccardDistance(shingles[i], shingles[j]) }
-	labels := cluster.DBSCAN(len(filtered), dist, opts.Eps, opts.MinPts)
+	matrix := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			d := cluster.JaccardDistance(shingles[i], shingles[j])
+			matrix[i*n+j], matrix[j*n+i] = d, d
+		}
+	}
+	dist := func(i, j int) float64 { return matrix[i*n+j] }
+	labels := cluster.DBSCAN(n, dist, opts.Eps, opts.MinPts)
 	maxLabel := -1
 	for _, l := range labels {
 		if l > maxLabel {

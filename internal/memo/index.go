@@ -34,7 +34,7 @@ type RetrievalIndex struct {
 	// The default size is built eagerly; other sizes (a caller using
 	// rag.Fuzzy{ShingleK: 5}) are built once on demand.
 	mu       sync.RWMutex
-	shingles map[int][]map[string]struct{}
+	shingles map[int][]cluster.Set
 
 	// restored is true when the index image was loaded from a durable
 	// backing instead of built (NewPersistedRetrievalIndex, persist.go).
@@ -70,7 +70,7 @@ func NewRetrievalIndex(db *rag.Database) *RetrievalIndex {
 	idx := &RetrievalIndex{
 		db:       db,
 		entries:  entries,
-		shingles: map[int][]map[string]struct{}{},
+		shingles: map[int][]cluster.Set{},
 	}
 
 	patTo := map[string][]int{}
@@ -118,8 +118,8 @@ func NewRetrievalIndex(db *rag.Database) *RetrievalIndex {
 	return idx
 }
 
-func shingleEntries(entries []rag.Entry, k int) []map[string]struct{} {
-	sets := make([]map[string]struct{}, len(entries))
+func shingleEntries(entries []rag.Entry, k int) []cluster.Set {
+	sets := make([]cluster.Set, len(entries))
 	for i, e := range entries {
 		sets[i] = cluster.Shingles(e.LogExample, k)
 	}
@@ -138,7 +138,7 @@ func (idx *RetrievalIndex) Stats() Stats { return idx.c.snapshot() }
 
 // entryShingles returns the precomputed shingle sets for size k, building
 // and caching them on first use of a non-default size.
-func (idx *RetrievalIndex) entryShingles(k int) []map[string]struct{} {
+func (idx *RetrievalIndex) entryShingles(k int) []cluster.Set {
 	idx.mu.RLock()
 	sets, ok := idx.shingles[k]
 	idx.mu.RUnlock()

@@ -31,6 +31,7 @@
 package memo
 
 import (
+	"repro/internal/cluster"
 	"repro/internal/compiler"
 	"repro/internal/diag"
 	"repro/internal/rag"
@@ -42,7 +43,7 @@ import (
 const (
 	compilePayloadV   = 2 // v2: diagnostics carry Rule + Related positions
 	simPayloadV       = 1
-	retrievalPayloadV = 1
+	retrievalPayloadV = 2 // v2: shingle sets are sorted hashes, not strings
 )
 
 // ---------- CompileCache ----------
@@ -303,8 +304,8 @@ func encodeRetrievalRecord(identity []byte, idx *RetrievalIndex) []byte {
 	e.Varint(int64(len(sets)))
 	for _, set := range sets {
 		e.Varint(int64(len(set)))
-		for sh := range set {
-			e.String(sh)
+		for _, h := range set {
+			e.Varint(int64(h))
 		}
 	}
 	return e.Bytes()
@@ -321,7 +322,7 @@ func decodeRetrievalRecord(data []byte, identity []byte, db *rag.Database, entri
 	idx := &RetrievalIndex{
 		db:       db,
 		entries:  entries,
-		shingles: map[int][]map[string]struct{}{},
+		shingles: map[int][]cluster.Set{},
 	}
 	bound := int64(len(entries))
 	np := d.Varint()
@@ -368,15 +369,19 @@ func decodeRetrievalRecord(data []byte, identity []byte, db *rag.Database, entri
 	if d.Err() != nil || k <= 0 || ns != bound {
 		return nil, false
 	}
-	sets := make([]map[string]struct{}, ns)
+	sets := make([]cluster.Set, ns)
 	for i := int64(0); i < ns; i++ {
 		n := d.Varint()
 		if d.Err() != nil || n < 0 || n > 1<<20 {
 			return nil, false
 		}
-		set := make(map[string]struct{}, n)
-		for j := int64(0); j < n; j++ {
-			set[d.String()] = struct{}{}
+		set := make(cluster.Set, n)
+		for j := range set {
+			set[j] = uint64(d.Varint())
+			// Jaccard's merge needs strictly increasing hashes.
+			if j > 0 && set[j] <= set[j-1] {
+				return nil, false
+			}
 		}
 		sets[i] = set
 	}

@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -209,6 +210,30 @@ func TestPersistedRetrievalIndexRoundtrip(t *testing.T) {
 				t.Fatalf("%T differs on %q:\nfresh:    %v\nrestored: %v", strat, log, want, got)
 			}
 		}
+	}
+
+	// The image is deterministic: two encodes of one index, and the
+	// encode of the restored index, are byte-equal.
+	identity := entriesIdentity(db.Entries())
+	img := encodeRetrievalRecord(identity, fresh)
+	if again := encodeRetrievalRecord(identity, fresh); !bytes.Equal(img, again) {
+		t.Fatal("two encodes of the same index differ")
+	}
+	if re := encodeRetrievalRecord(identity, restored); !bytes.Equal(img, re) {
+		t.Fatal("restored index encodes differently from the fresh one")
+	}
+
+	// A v1-tagged payload (string shingle sets) is rejected, and the
+	// index is rebuilt and rewritten as the current image.
+	v1 := append([]byte{1}, img[1:]...)
+	st3 := openStore(t, t.TempDir())
+	defer st3.Close()
+	st3.Put(store.KindRetrieval, store.HashBytes(identity), v1)
+	if rebuilt := NewPersistedRetrievalIndex(db, st3); rebuilt.Restored() {
+		t.Fatal("a v1 payload must not restore")
+	}
+	if data, _ := st3.Get(store.KindRetrieval, store.HashBytes(identity)); !bytes.Equal(data, img) {
+		t.Fatal("rebuild did not rewrite the v1 record with the current image")
 	}
 }
 
