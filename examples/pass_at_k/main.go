@@ -8,10 +8,9 @@ import (
 	"fmt"
 	"math/rand"
 
-	"repro/internal/compiler"
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/fixer"
 	"repro/internal/llm"
 	"repro/internal/metrics"
 )
@@ -36,23 +35,27 @@ func main() {
 	fmt.Printf("%-24s %-10s %-10s\n", "problem", "orig c/n", "fixed c/n")
 	for pi, p := range problems {
 		rates := llm.SkewRates(llm.RatesFor(string(p.Suite), string(p.Difficulty)), p.ID)
+		// every sample of a problem is scored against one testbench
+		tb, err := p.NewTestbench(rand.New(rand.NewSource(int64(pi))))
+		if err != nil {
+			panic(err)
+		}
 		orig, fixed := 0, 0
 		for s := 0; s < samplesPerProblem; s++ {
 			sample := llm.Generate(p.RefSource, rates, rng).Code
 
-			if passes(p, sample, int64(pi)) {
+			switch bench.Evaluate(tb, sample) {
+			case bench.OutcomePassed:
 				orig++
 				fixed++
 				continue
+			case bench.OutcomeSimError:
+				continue // fixing syntax will not help
 			}
 			// Only compile failures go through the agent: RTLFixer
 			// addresses syntax, not logic.
-			clean := fixer.Fix(sample).Code
-			if _, design, _ := compiler.Frontend(clean); design != nil {
-				continue // simulation error: fixing syntax will not help
-			}
 			tr := rtlfixer.Fix("sample.v", sample, rng.Int63())
-			if passes(p, tr.FinalCode, int64(pi)) {
+			if bench.Evaluate(tb, tr.FinalCode) == bench.OutcomePassed {
 				fixed++
 			}
 		}
@@ -68,15 +71,4 @@ func main() {
 	f5, _ := metrics.MeanPassAtK(ns, fixedPass, 5)
 	fmt.Printf("\npass@1: %.3f -> %.3f (+%.3f from syntax fixing alone)\n", o1, f1, f1-o1)
 	fmt.Printf("pass@5: %.3f -> %.3f\n", o5, f5)
-}
-
-// passes compiles and simulates a candidate against the problem's golden
-// model.
-func passes(p *dataset.Problem, code string, vecSeed int64) bool {
-	clean := fixer.Fix(code).Code
-	if _, design, _ := compiler.Frontend(clean); design == nil {
-		return false
-	}
-	res, err := p.Check(clean, rand.New(rand.NewSource(vecSeed)))
-	return err == nil && res.Passed()
 }

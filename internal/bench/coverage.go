@@ -30,8 +30,11 @@ func CoverageReport(seed int64) []CoverageRow {
 		for _, p := range dataset.Problems(suite) {
 			row := CoverageRow{Suite: suite, ID: p.ID}
 			cov := wave.NewCoverage()
-			rng := rand.New(rand.NewSource(seed))
-			if _, err := p.CheckObserved(p.RefSource, rng, sim.TBObserve{Coverage: cov}); err != nil {
+			tb, err := p.NewTestbench(rand.New(rand.NewSource(seed)))
+			if err == nil {
+				_, err = p.CheckObserved(p.RefSource, tb, sim.TBObserve{Coverage: cov})
+			}
+			if err != nil {
 				row.Err = err.Error()
 			} else {
 				row.Stats = cov.Stats()

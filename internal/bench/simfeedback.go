@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fixer"
@@ -63,27 +62,25 @@ func RunSimFeedback(seed int64, sampleN int) *SimFeedbackResult {
 
 	for pi, p := range problems {
 		rates := llm.SkewRates(llm.RatesFor(string(p.Suite), string(p.Difficulty)), p.ID)
-		vecSeed := seed ^ int64(pi)*104729
+		tb := newTestbench(p, seed^int64(pi)*104729)
 		for s := 0; s < sampleN; s++ {
 			sample := llm.Generate(p.RefSource, rates, rng).Code
 			res.Samples++
 
 			// Stage 1: syntax fixing (the paper's pipeline).
 			code := fixer.Fix(sample).Code
-			if _, design, _ := compiler.Frontend(code); design == nil {
+			if !dataset.Compiles(code) {
 				tr := rtlfixer.Fix("main.v", sample, rng.Int63())
 				code = tr.FinalCode
 			}
-			syntaxPass := passes(p, code, vecSeed)
+			syntaxPass := Evaluate(tb, code) == OutcomePassed
 
 			// Stage 2: simulation-feedback repair for the samples that
 			// compile but fail simulation.
 			simPass := syntaxPass
-			if !syntaxPass {
-				if _, design, _ := compiler.Frontend(code); design != nil {
-					repaired := simRepairLoop(p, code, persona, vecSeed, rng)
-					simPass = passes(p, repaired, vecSeed)
-				}
+			if !syntaxPass && dataset.Compiles(code) {
+				repaired := simRepairLoop(tb, code, persona, rng)
+				simPass = Evaluate(tb, repaired) == OutcomePassed
 			}
 
 			bucket := func(syntaxOK, simOK bool) {
@@ -120,30 +117,15 @@ func RunSimFeedback(seed int64, sampleN int) *SimFeedbackResult {
 	return res
 }
 
-// passes compiles and simulates a candidate.
-func passes(p *dataset.Problem, code string, vecSeed int64) bool {
-	clean := fixer.Fix(code).Code
-	if _, design, _ := compiler.Frontend(clean); design == nil {
-		return false
-	}
-	r, err := p.Check(clean, rand.New(rand.NewSource(vecSeed)))
-	return err == nil && r.Passed()
-}
-
 // SimFeedbackText renders the paper-style simulation feedback for a
 // failing candidate: the mismatch summary plus a bounded VCD excerpt
 // windowed around the first mismatch — the text an agent iteration sees.
-// It draws only from a vecSeed-derived generator, so callers inside a
-// seeded experiment consume nothing from their campaign RNG. Empty when
-// the candidate does not compile, errors out, or actually passes.
-func SimFeedbackText(p *dataset.Problem, code string, vecSeed int64) string {
-	clean := fixer.Fix(code).Code
-	if _, design, _ := compiler.Frontend(clean); design == nil {
-		return ""
-	}
-	rec := wave.NewRecorder(8)
-	r, err := p.CheckObserved(clean, rand.New(rand.NewSource(vecSeed)), sim.TBObserve{Recorder: rec})
-	if err != nil || r.Passed() {
+// The stimulus is the testbench's, so callers inside a seeded experiment
+// consume nothing from their campaign RNG. Empty when the candidate does
+// not compile, errors out, or actually passes.
+func SimFeedbackText(tb *dataset.Testbench, code string) string {
+	_, r := evaluateObserved(tb, code, sim.TBObserve{Recorder: wave.NewRecorder(8)})
+	if r.Mismatches == 0 {
 		return ""
 	}
 	var b strings.Builder
@@ -164,14 +146,14 @@ func SimFeedbackText(p *dataset.Problem, code string, vecSeed int64) string {
 // only the final result is scored. Success therefore requires the edit
 // walk to land on behaviourally correct code, which happens mostly on
 // short, simple modules whose defect is a single invertible operator.
-func simRepairLoop(p *dataset.Problem, code string, persona llm.Persona, vecSeed int64, rng *rand.Rand) string {
+func simRepairLoop(tb *dataset.Testbench, code string, persona llm.Persona, rng *rand.Rand) string {
 	// Comprehension gate: the paper found the model "only exhibited
 	// proficiency in fixing logic implementation errors for simple
 	// problems but struggled with more complex questions". Whether the
 	// model understands the waveform-style feedback at all is a
 	// per-sample event whose probability collapses with difficulty.
 	pComprehend := 0.35 * persona.DefaultCompetence / 0.55
-	if p.Difficulty == dataset.Hard {
+	if tb.Problem().Difficulty == dataset.Hard {
 		pComprehend = 0.05 * persona.DefaultCompetence / 0.55
 	}
 	if rng.Float64() > pComprehend {
@@ -179,9 +161,9 @@ func simRepairLoop(p *dataset.Problem, code string, persona llm.Persona, vecSeed
 	}
 	// The comprehending model is shown the mismatch summary plus a
 	// waveform excerpt around the first failing cycle. The feedback is
-	// built from the vecSeed stream only, so the campaign RNG (and with
-	// it every published rate) is untouched by observability.
-	if feedback := SimFeedbackText(p, code, vecSeed); feedback == "" {
+	// built from the testbench only, so the campaign RNG (and with it
+	// every published rate) is untouched by observability.
+	if feedback := SimFeedbackText(tb, code); feedback == "" {
 		return code // errored rather than mismatched: nothing actionable
 	}
 	cur := code
@@ -190,13 +172,13 @@ func simRepairLoop(p *dataset.Problem, code string, persona llm.Persona, vecSeed
 		if candidate == cur {
 			continue
 		}
-		if _, design, _ := compiler.Frontend(candidate); design == nil {
+		if !dataset.Compiles(candidate) {
 			continue // broke the syntax: the model discards that draft
 		}
 		cur = candidate
 		// The only signal the loop acts on is pass/fail of a full
 		// resimulation between iterations.
-		if passes(p, cur, vecSeed) {
+		if Evaluate(tb, cur) == OutcomePassed {
 			return cur
 		}
 	}

@@ -7,13 +7,13 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/fixer"
 	"repro/internal/llm"
 	"repro/internal/metrics"
 	"repro/internal/pipeline"
+	"repro/internal/sim"
 )
 
 // Table2Config parameterizes the pass@k experiment.
@@ -74,37 +74,62 @@ type Table2Result struct {
 	SyntaxErrorShare map[dataset.Suite]float64
 }
 
-// sampleOutcome classifies one sample against its problem.
-type sampleOutcome int
+// Outcome classifies one sample against its problem.
+type Outcome int
 
+// Sample outcomes, in Figure 4's categories.
 const (
-	outcomePassed sampleOutcome = iota
-	outcomeCompileError
-	outcomeSimError
+	OutcomePassed Outcome = iota
+	OutcomeCompileError
+	OutcomeSimError
 )
 
-func (o sampleOutcome) String() string {
+// String is the Figure 4 category name.
+func (o Outcome) String() string {
 	switch o {
-	case outcomePassed:
+	case OutcomePassed:
 		return "passed"
-	case outcomeCompileError:
+	case OutcomeCompileError:
 		return "compile-error"
 	default:
 		return "simulation-error"
 	}
 }
 
-// evaluate compiles and simulates one candidate against its problem.
-func evaluate(p *dataset.Problem, code string, vecSeed int64) sampleOutcome {
+// Evaluate pre-fixes, compiles and simulates one candidate against a
+// problem testbench: the one scoring path of every pass@k experiment.
+// It is a pure function of the candidate and the testbench.
+func Evaluate(tb *dataset.Testbench, code string) Outcome {
+	outcome, _ := evaluateObserved(tb, code, sim.TBObserve{})
+	return outcome
+}
+
+// evaluateObserved is Evaluate with simulation observability attached.
+// The result is the testbench run's; it is zero when the candidate does
+// not compile or the run errors out.
+func evaluateObserved(tb *dataset.Testbench, code string, obs sim.TBObserve) (Outcome, sim.TBResult) {
 	clean := fixer.Fix(code).Code
-	if _, design, _ := compiler.Frontend(clean); design == nil {
-		return outcomeCompileError
+	if !dataset.Compiles(clean) {
+		return OutcomeCompileError, sim.TBResult{}
 	}
-	res, err := p.Check(clean, rand.New(rand.NewSource(vecSeed)))
-	if err != nil || !res.Passed() {
-		return outcomeSimError
+	res, err := tb.Problem().CheckObserved(clean, tb, obs)
+	if err != nil {
+		return OutcomeSimError, sim.TBResult{}
 	}
-	return outcomePassed
+	if !res.Passed() {
+		return OutcomeSimError, res
+	}
+	return OutcomePassed, res
+}
+
+// newTestbench builds p's testbench for one vector seed. Every registered
+// reference compiles (dataset tests pin it), so a failure is a corpus bug.
+func newTestbench(p *dataset.Problem, vecSeed int64) *dataset.Testbench {
+	tb, err := p.NewTestbench(rand.New(rand.NewSource(vecSeed)))
+	if err != nil {
+		panic(err)
+	}
+	return tb
 }
 
 // RunTable2 reproduces Table 2 and Figure 4: generate n samples per
@@ -144,6 +169,11 @@ func RunTable2(cfg Table2Config) *Table2Result {
 			problems = problems[:cfg.MaxProblems]
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed*31 + int64(len(suite))))
+		// one vector seed per problem: every sample and fix of a problem
+		// is scored against the same testbench
+		testbench := func(pi int) *dataset.Testbench {
+			return newTestbench(problems[pi], cfg.Seed^int64(pi)*104729)
+		}
 
 		type problemTally struct {
 			difficulty dataset.Difficulty
@@ -162,30 +192,29 @@ func RunTable2(cfg Table2Config) *Table2Result {
 		// job (with its seed drawn here, on the shared stream) for every
 		// compile failure — the paper addresses syntax errors only.
 		type sampleRec struct {
-			pi      int
-			vecSeed int64
-			orig    sampleOutcome
-			fixJob  int // index into jobs; -1 when the sample is untouched
+			pi     int
+			orig   Outcome
+			fixJob int // index into jobs; -1 when the sample is untouched
 		}
 		var recs []sampleRec
 		var jobs []pipeline.Job
 		for pi, p := range problems {
 			tallies[pi].difficulty = p.Difficulty
 			rates := llm.SkewRates(llm.RatesFor(string(p.Suite), string(p.Difficulty)), p.ID)
-			vecSeed := cfg.Seed ^ int64(pi)*104729
+			tb := testbench(pi)
 			for s := 0; s < cfg.SampleN; s++ {
 				sample := llm.Generate(p.RefSource, rates, rng).Code
 				totalSamples++
 				tallies[pi].n++
 
-				orig := evaluate(p, sample, vecSeed)
+				orig := Evaluate(tb, sample)
 				inner[orig.String()+"-"+string(p.Difficulty)]++
-				rec := sampleRec{pi: pi, vecSeed: vecSeed, orig: orig, fixJob: -1}
-				if orig == outcomePassed {
+				rec := sampleRec{pi: pi, orig: orig, fixJob: -1}
+				if orig == OutcomePassed {
 					tallies[pi].origPass++
 				} else {
 					failingSamples++
-					if orig == outcomeCompileError {
+					if orig == OutcomeCompileError {
 						syntaxFailures++
 						rec.fixJob = len(jobs)
 						jobs = append(jobs, pipeline.Job{
@@ -211,15 +240,20 @@ func RunTable2(cfg Table2Config) *Table2Result {
 		}
 
 		// Phase C: re-score in sample order. Untouched samples keep their
-		// original outcome (evaluate is a pure function of code + seed).
+		// original outcome (Evaluate is a pure function of code + testbench).
+		// Records are in problem order, so one testbench is live at a time.
+		var tb *dataset.Testbench
 		for _, rec := range recs {
 			p := problems[rec.pi]
 			fixed := rec.orig
 			if rec.fixJob >= 0 {
-				fixed = evaluate(p, fixResults[rec.fixJob].Transcript.FinalCode, rec.vecSeed)
+				if tb == nil || tb.Problem() != p {
+					tb = testbench(rec.pi)
+				}
+				fixed = Evaluate(tb, fixResults[rec.fixJob].Transcript.FinalCode)
 			}
 			outer[fixed.String()+"-"+string(p.Difficulty)]++
-			if fixed == outcomePassed {
+			if fixed == OutcomePassed {
 				tallies[rec.pi].fixedPass++
 			}
 		}

@@ -49,6 +49,9 @@ func RunTable3(cfg Table3Config) *Table3Result {
 	cfg = cfg.withDefaults()
 	problems := dataset.Problems(dataset.SuiteRTLLM)
 	rng := rand.New(rand.NewSource(cfg.Seed*17 + 3))
+	testbench := func(pi int) *dataset.Testbench {
+		return newTestbench(problems[pi], cfg.Seed^int64(pi)*7919)
+	}
 
 	rtlfixer, err := core.New(core.Options{
 		CompilerName: "quartus",
@@ -69,10 +72,9 @@ func RunTable3(cfg Table3Config) *Table3Result {
 	// queue fix jobs for compile failures. Phase B: parallel agent runs.
 	// Phase C: re-score in sample order — same staging as RunTable2.
 	type sampleRec struct {
-		pi      int
-		vecSeed int64
-		orig    sampleOutcome
-		fixJob  int
+		pi     int
+		orig   Outcome
+		fixJob int
 	}
 	var recs []sampleRec
 	var jobs []pipeline.Job
@@ -81,21 +83,21 @@ func RunTable3(cfg Table3Config) *Table3Result {
 	fixedPass := make([]int, len(problems))
 	for pi, p := range problems {
 		rates := llm.SkewRates(llm.RatesFor(string(p.Suite), string(p.Difficulty)), p.ID)
-		vecSeed := cfg.Seed ^ int64(pi)*7919
+		tb := testbench(pi)
 		for s := 0; s < cfg.SampleN; s++ {
 			sample := llm.Generate(p.RefSource, rates, rng).Code
 			total++
 			ns[pi]++
 
-			orig := evaluate(p, sample, vecSeed)
-			if orig != outcomeCompileError {
+			orig := Evaluate(tb, sample)
+			if orig != OutcomeCompileError {
 				origCompiles++
 			}
-			if orig == outcomePassed {
+			if orig == OutcomePassed {
 				origPass[pi]++
 			}
-			rec := sampleRec{pi: pi, vecSeed: vecSeed, orig: orig, fixJob: -1}
-			if orig == outcomeCompileError {
+			rec := sampleRec{pi: pi, orig: orig, fixJob: -1}
+			if orig == OutcomeCompileError {
 				rec.fixJob = len(jobs)
 				jobs = append(jobs, pipeline.Job{
 					Group:      pi,
@@ -115,15 +117,19 @@ func RunTable3(cfg Table3Config) *Table3Result {
 		panic(err) // background context: cannot be canceled
 	}
 
+	var tb *dataset.Testbench
 	for _, rec := range recs {
 		fixed := rec.orig
 		if rec.fixJob >= 0 {
-			fixed = evaluate(problems[rec.pi], fixResults[rec.fixJob].Transcript.FinalCode, rec.vecSeed)
+			if tb == nil || tb.Problem() != problems[rec.pi] {
+				tb = testbench(rec.pi)
+			}
+			fixed = Evaluate(tb, fixResults[rec.fixJob].Transcript.FinalCode)
 		}
-		if fixed != outcomeCompileError {
+		if fixed != OutcomeCompileError {
 			fixedCompiles++
 		}
-		if fixed == outcomePassed {
+		if fixed == OutcomePassed {
 			fixedPass[rec.pi]++
 		}
 	}

@@ -25,8 +25,8 @@ import (
 // oracle's compile pipeline (parse + elaborate + engine compile). Every
 // consumer of Problem.Check — the bench tables, the examples, rtlfixerd's
 // fix loop — funnels through here, so repeated candidates and the
-// per-Check reference recompilation are served from cache. The cache is
-// transparent: results are byte-identical with or without it.
+// reference recompilation behind every testbench are served from cache.
+// The cache is transparent: results are byte-identical with or without it.
 var oracle = memo.NewSimCache(0)
 
 // AttachStore hooks a durable backing (internal/store) under the oracle
@@ -136,26 +136,95 @@ func randomVec(rng *rand.Rand, width int) bitvec.Vec {
 		chunk := rng.Uint64()
 		for b := 0; b < 64 && i+b < width; b++ {
 			if chunk>>b&1 == 1 {
-				v = v.SetBit(i+b, true)
+				v.SetBitInPlace(i+b, true)
 			}
 		}
 	}
 	return v
 }
 
-// Check runs the problem's testbench against a candidate design. The
-// candidate must already be elaborated (compile first). Compilation —
-// frontend and engine lowering — is amortized through the package cache,
-// so rechecking a seen candidate costs only the simulation itself.
-func (p *Problem) Check(candidate string, rng *rand.Rand) (sim.TBResult, error) {
-	return p.CheckObserved(candidate, rng, sim.TBObserve{})
+// Testbench is one problem's stimulus for one generator together with
+// the golden model's expected outputs for every cycle, recorded by
+// stepping a single fresh golden model once. A golden model's outputs
+// depend only on the inputs it has been stepped with, so the recording
+// is what any fresh model would return; every candidate scored against
+// the same (problem, seed) can replay it instead of regenerating the
+// vectors and re-stepping the model. A Testbench is immutable and safe
+// to share across goroutines.
+type Testbench struct {
+	p        *Problem
+	vectors  []sim.Vector
+	expected []map[string]bitvec.Vec
 }
 
-// CheckObserved is Check with simulation-layer observability attached
-// for the run: a waveform recorder (marked at the first mismatch),
-// toggle/activity coverage, or an engine execution profile. A zero
-// TBObserve makes it identical to Check.
-func (p *Problem) CheckObserved(candidate string, rng *rand.Rand, obs sim.TBObserve) (sim.TBResult, error) {
+// NewTestbench draws the problem's stimulus from rng (as Vectors does)
+// and records the golden model's response to it.
+func (p *Problem) NewTestbench(rng *rand.Rand) (*Testbench, error) {
+	vectors, err := p.Vectors(rng)
+	if err != nil {
+		return nil, err
+	}
+	golden := p.NewGolden()
+	golden.Reset()
+	expected := make([]map[string]bitvec.Vec, len(vectors))
+	for i, v := range vectors {
+		expected[i] = golden.Step(v.Inputs)
+	}
+	return &Testbench{p: p, vectors: vectors, expected: expected}, nil
+}
+
+// Problem returns the problem the testbench was built for.
+func (tb *Testbench) Problem() *Problem { return tb.p }
+
+// replayGolden replays a Testbench's recorded expected outputs, one
+// cycle per Step; Reset rewinds it. Each run gets its own cursor over the
+// shared recording.
+type replayGolden struct {
+	expected []map[string]bitvec.Vec
+	next     int
+}
+
+// Reset implements sim.Golden.
+func (g *replayGolden) Reset() { g.next = 0 }
+
+// Step implements sim.Golden; the inputs are the recorded ones.
+func (g *replayGolden) Step(map[string]bitvec.Vec) map[string]bitvec.Vec {
+	out := g.expected[g.next]
+	g.next++
+	return out
+}
+
+// Compiles reports whether src parses and elaborates: the compile test of
+// pass@k scoring. It is compiler.Frontend through the package oracle
+// cache, so a candidate that is then checked is lexed only once.
+func Compiles(src string) bool {
+	_, design, _ := oracle.Frontend(src)
+	return design != nil
+}
+
+// Check runs the problem's testbench, drawn from rng, against a
+// candidate design: NewTestbench followed by CheckObserved. Callers that
+// score many candidates against one (problem, seed) build the Testbench
+// once and call CheckObserved.
+func (p *Problem) Check(candidate string, rng *rand.Rand) (sim.TBResult, error) {
+	tb, err := p.NewTestbench(rng)
+	if err != nil {
+		return sim.TBResult{}, err
+	}
+	return p.CheckObserved(candidate, tb, sim.TBObserve{})
+}
+
+// CheckObserved runs a testbench built by p.NewTestbench against a
+// candidate design, with simulation-layer observability attached for the
+// run: a waveform recorder (marked at the first mismatch), toggle/activity
+// coverage, or an engine execution profile. A zero TBObserve observes
+// nothing. Compilation — frontend and engine lowering — is amortized
+// through the package cache, so rechecking a seen candidate costs only
+// the simulation itself.
+func (p *Problem) CheckObserved(candidate string, tb *Testbench, obs sim.TBObserve) (sim.TBResult, error) {
+	if tb.p != p {
+		return sim.TBResult{}, fmt.Errorf("problem %s: testbench was built for %s", p.ID, tb.p.ID)
+	}
 	prog, design, diags, err := oracle.Program(candidate)
 	if design == nil {
 		return sim.TBResult{}, fmt.Errorf("candidate does not compile: %s", diags.Summary())
@@ -163,11 +232,8 @@ func (p *Problem) CheckObserved(candidate string, rng *rand.Rand, obs sim.TBObse
 	if err != nil {
 		return sim.TBResult{}, err
 	}
-	vectors, err := p.Vectors(rng)
-	if err != nil {
-		return sim.TBResult{}, err
-	}
-	return sim.RunTestbenchObserved(sim.NewFromProgram(prog), p.Clock, vectors, p.NewGolden(), obs)
+	golden := &replayGolden{expected: tb.expected}
+	return sim.RunTestbenchObserved(sim.NewFromProgram(prog), p.Clock, tb.vectors, golden, obs)
 }
 
 // ---------- suite access ----------
