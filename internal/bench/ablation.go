@@ -26,7 +26,7 @@ type AblationResult struct {
 
 // runFixRate measures the ReAct fix rate over entries for a fully built
 // fixer configuration, fanning the attempts out over the worker pool.
-// label scopes the resume journal per experiment.
+// label names the experiment in per-job records.
 func runFixRate(label string, f *core.RTLFixer, entries []curate.Entry, repeats, workers int) float64 {
 	return runFixRateJobs(label, f, entries, repeats, workers).FixRate
 }

@@ -1,15 +1,10 @@
-// Resumable benchmarks: a store-backed pipeline.Journal plus the label
-// scheme that scopes journal entries to one exact experiment
-// configuration.
+// Per-job recording and tracing hooks shared by every bench experiment,
+// plus the label scheme that names one exact experiment configuration.
 //
-// cmd/benchmark wires this up from -state-dir/-resume: every completed
-// agent job is journaled through the pipeline's per-job completion hook,
-// and a resumed run restores those outcomes instead of re-running the
-// jobs. Because a journal entry is addressed by (label, filename, code,
-// seed) and the label carries the full fixer configuration and
-// experiment parameters, a restored run's tables are byte-identical to
-// an uninterrupted one — and a run with any different flag simply shares
-// nothing.
+// A journal installed with SetJournal receives every successfully
+// completed agent job through the pipeline's per-job completion hook,
+// labeled with the experiment and the full fixer configuration, so an
+// external harness can check each job's outcome without parsing tables.
 package bench
 
 import (
@@ -18,16 +13,16 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/pipeline"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
-// journal is the package-wide pipeline journal (nil = journaling off).
+// journal is the package-wide per-job recorder (nil = recording off).
 // Set once by SetJournal before any experiment runs.
 var journal pipeline.Journal
 
-// SetJournal installs the journal every bench experiment records to and
-// resumes from. Pass nil to disable. Call before running experiments.
+// SetJournal installs the journal every bench experiment records its
+// completed jobs to. Pass nil to disable. Call before running
+// experiments.
 func SetJournal(j pipeline.Journal) { journal = j }
 
 // tracer is the package-wide trace collector (nil = tracing off). Set
@@ -40,17 +35,30 @@ var tracer *trace.Collector
 // experiment hot paths allocation-free and table output untouched.
 func SetTracer(c *trace.Collector) { tracer = c }
 
-// runJobs funnels every bench pipeline run through the package journal
-// and tracer.
+// runJobs funnels every bench pipeline run through the package tracer
+// and, when one is set, records each successful completion (Err nil,
+// transcript present) to the package journal under label. Canceled and
+// timed-out jobs are never recorded.
 func runJobs(ctx context.Context, label string, cfg pipeline.Config, jobs []pipeline.Job, fn pipeline.FixFunc) ([]pipeline.Result, error) {
 	cfg.Tracer = tracer
-	return pipeline.RunJournaled(ctx, cfg, label, jobs, fn, journal)
+	if j := journal; j != nil {
+		onResult := cfg.OnResult
+		cfg.OnResult = func(r pipeline.Result) {
+			if r.Err == nil && r.Transcript != nil {
+				j.Record(label, r.Job, pipeline.OutcomeOf(r))
+			}
+			if onResult != nil {
+				onResult(r)
+			}
+		}
+	}
+	return pipeline.Run(ctx, cfg, jobs, fn)
 }
 
-// fixerLabel fingerprints a fixer configuration for journal scoping:
+// fixerLabel fingerprints a fixer configuration for job labels:
 // everything that selects agent behaviour beyond the job fields. The
 // cache flag is deliberately absent — output is byte-identical with the
-// cache on or off, so journaled outcomes are shared across that flag.
+// cache on or off.
 func fixerLabel(f *core.RTLFixer) string {
 	o := f.Options()
 	ret := "default"
@@ -59,91 +67,4 @@ func fixerLabel(f *core.RTLFixer) string {
 	}
 	return fmt.Sprintf("mode=%s,rag=%v,comp=%s,llm=%s,iters=%d,seed=%d,ret=%s,analyze=%v",
 		o.Mode, o.RAG, o.CompilerName, o.PersonaName, o.MaxIterations, o.Seed, ret, !o.DisableAnalyzer)
-}
-
-// RecordOnly wraps a journal so lookups always miss: a fresh run records
-// its progress for a future -resume without consuming state left by
-// previous runs. (Only -resume opts into restoring outcomes.)
-func RecordOnly(j pipeline.Journal) pipeline.Journal { return recordOnly{j} }
-
-type recordOnly struct{ inner pipeline.Journal }
-
-func (r recordOnly) Lookup(string, pipeline.Job) (pipeline.Outcome, bool) {
-	return pipeline.Outcome{}, false
-}
-
-func (r recordOnly) Record(label string, jb pipeline.Job, o pipeline.Outcome) {
-	r.inner.Record(label, jb, o)
-}
-
-// StoreJournal adapts a durable store.Backing to pipeline.Journal.
-// Records are content-addressed by pipeline.JobKey and carry the full
-// job identity, so an FNV collision (or a stale payload) degrades to a
-// re-run, never a restored foreign outcome.
-type StoreJournal struct {
-	b store.Backing
-}
-
-// NewStoreJournal wraps a backing.
-func NewStoreJournal(b store.Backing) *StoreJournal { return &StoreJournal{b: b} }
-
-// benchPayloadV 2 added the outcome's LintFindings count; stale v1
-// entries degrade to a re-run.
-const benchPayloadV = 2
-
-// Lookup implements pipeline.Journal.
-func (j *StoreJournal) Lookup(label string, jb pipeline.Job) (pipeline.Outcome, bool) {
-	data, ok := j.b.Get(store.KindBenchJob, pipeline.JobKey(label, jb))
-	if !ok {
-		return pipeline.Outcome{}, false
-	}
-	d := store.NewDecoder(data)
-	if d.U8() != benchPayloadV {
-		return pipeline.Outcome{}, false
-	}
-	if d.String() != label || d.String() != jb.Filename || d.String() != jb.Code || d.I64() != jb.SampleSeed {
-		return pipeline.Outcome{}, false // key collision: re-run
-	}
-	var o pipeline.Outcome
-	o.Success = d.Bool()
-	o.Iterations = int(d.Varint())
-	o.FinalCode = d.String()
-	nilRules := d.Bool()
-	n := d.Varint()
-	if d.Err() != nil || n < 0 || n > 1<<16 {
-		return pipeline.Outcome{}, false
-	}
-	if !nilRules {
-		o.FixerRules = make([]string, 0, n)
-	}
-	for i := int64(0); i < n; i++ {
-		o.FixerRules = append(o.FixerRules, d.String())
-	}
-	o.LintFindings = int(d.Varint())
-	o.ElapsedNS = d.I64()
-	if !d.Ok() {
-		return pipeline.Outcome{}, false
-	}
-	return o, true
-}
-
-// Record implements pipeline.Journal.
-func (j *StoreJournal) Record(label string, jb pipeline.Job, o pipeline.Outcome) {
-	var e store.Encoder
-	e.U8(benchPayloadV)
-	e.String(label)
-	e.String(jb.Filename)
-	e.String(jb.Code)
-	e.I64(jb.SampleSeed)
-	e.Bool(o.Success)
-	e.Varint(int64(o.Iterations))
-	e.String(o.FinalCode)
-	e.Bool(o.FixerRules == nil)
-	e.Varint(int64(len(o.FixerRules)))
-	for _, r := range o.FixerRules {
-		e.String(r)
-	}
-	e.Varint(int64(o.LintFindings))
-	e.I64(o.ElapsedNS)
-	j.b.Put(store.KindBenchJob, pipeline.JobKey(label, jb), e.Bytes())
 }

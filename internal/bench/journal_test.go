@@ -1,117 +1,152 @@
 package bench
 
 import (
+	"context"
+	"fmt"
+	"math"
+	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/agent"
 	"repro/internal/curate"
 	"repro/internal/pipeline"
-	"repro/internal/store"
 )
 
-// TestTable1ResumeByteIdentical runs a small Table 1 against a journaled
-// store, then re-runs it from a reopened store (the killed-and-restarted
-// shape) and asserts the rendered table is byte-identical while the agent
-// work is served from the journal.
-func TestTable1ResumeByteIdentical(t *testing.T) {
-	dir := t.TempDir()
-	entries, _ := curate.Build(curate.Options{Seed: 11})
-	if len(entries) > 4 {
-		entries = entries[:4]
-	}
-	cfg := Table1Config{Seed: 11, Repeats: 2, Entries: entries, Workers: 4, Cache: true}
+// sliceJournal keeps every recorded outcome, in arrival order.
+type sliceJournal struct {
+	mu   sync.Mutex
+	recs []journalRec
+}
 
-	st1, err := store.Open(dir, store.Options{NoFlusher: true})
-	if err != nil {
-		t.Fatal(err)
+type journalRec struct {
+	label string
+	job   pipeline.Job
+	out   pipeline.Outcome
+}
+
+func (j *sliceJournal) Record(label string, jb pipeline.Job, o pipeline.Outcome) {
+	j.mu.Lock()
+	j.recs = append(j.recs, journalRec{label, jb, o})
+	j.mu.Unlock()
+}
+
+// fakeFix is a deterministic stand-in agent: success and iteration count
+// derive from the seed, final code from the input.
+func fakeFix(_ context.Context, j pipeline.Job) *agent.Transcript {
+	return &agent.Transcript{
+		Success:    j.SampleSeed%2 == 0,
+		Iterations: int(j.SampleSeed % 5),
+		FinalCode:  "fixed:" + j.Code,
+		FixerRules: []string{fmt.Sprintf("rule-%d", j.SampleSeed)},
 	}
-	SetJournal(NewStoreJournal(st1))
+}
+
+func fakeJobs(n int) []pipeline.Job {
+	jobs := make([]pipeline.Job, n)
+	for i := range jobs {
+		jobs[i] = pipeline.Job{Group: i / 2, Filename: "main.v",
+			Code: fmt.Sprintf("module m%d; endmodule", i), SampleSeed: int64(i + 1)}
+	}
+	return jobs
+}
+
+// TestRunJobsRecordsEachSuccessOnce: every successful job is recorded
+// exactly once, under the run's label, with the outcome Run returned; the
+// caller's own completion hook still sees every result.
+func TestRunJobsRecordsEachSuccessOnce(t *testing.T) {
+	j := &sliceJournal{}
+	SetJournal(j)
 	defer SetJournal(nil)
-	cold := RunTable1(cfg).Render()
-	if err := st1.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	st2, err := store.Open(dir, store.Options{NoFlusher: true})
+	jobs := fakeJobs(6)
+	var hooked int
+	cfg := pipeline.Config{Workers: 3, OnResult: func(pipeline.Result) { hooked++ }}
+	results, err := runJobs(context.Background(), "exp/a", cfg, jobs, fakeFix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	if st2.Stats().LoadedAtOpen == 0 {
-		t.Fatal("no journaled jobs survived the restart")
+	if hooked != len(jobs) {
+		t.Fatalf("caller's OnResult saw %d results, want %d", hooked, len(jobs))
 	}
-	SetJournal(NewStoreJournal(st2))
-	resumed := RunTable1(cfg).Render()
-	if cold != resumed {
-		t.Fatalf("resumed table differs:\ncold:\n%s\nresumed:\n%s", cold, resumed)
+	if len(j.recs) != len(jobs) {
+		t.Fatalf("journal holds %d outcomes, want %d", len(j.recs), len(jobs))
 	}
-	if s := st2.Stats(); s.LoadHits == 0 {
-		t.Fatalf("resumed run never consulted the journal: %+v", s)
+	seen := map[int]bool{}
+	for _, r := range j.recs {
+		if r.label != "exp/a" {
+			t.Fatalf("recorded under label %q, want exp/a", r.label)
+		}
+		if seen[r.job.Index] {
+			t.Fatalf("job %d recorded twice", r.job.Index)
+		}
+		seen[r.job.Index] = true
+		want := pipeline.OutcomeOf(results[r.job.Index])
+		if r.out.Success != want.Success || r.out.Iterations != want.Iterations ||
+			r.out.FinalCode != want.FinalCode || r.out.ElapsedNS != want.ElapsedNS {
+			t.Fatalf("job %d recorded %+v, Run returned %+v", r.job.Index, r.out, want)
+		}
 	}
 }
 
-// TestStoreJournalCollisionGuard plants a record at a job's key whose
-// payload identifies a different job; Lookup must reject it.
-func TestStoreJournalCollisionGuard(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{NoFlusher: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	j := NewStoreJournal(st)
+// TestRunJobsDoesNotRecordCanceled: a job that never ran (its context
+// was already canceled) is reported with its error and never recorded.
+func TestRunJobsDoesNotRecordCanceled(t *testing.T) {
+	j := &sliceJournal{}
+	SetJournal(j)
+	defer SetJournal(nil)
 
-	real := pipeline.Job{Filename: "main.v", Code: "module a; endmodule", SampleSeed: 1}
-	forged := pipeline.Job{Filename: "main.v", Code: "module b; endmodule", SampleSeed: 2}
-	// Record the forged job's outcome, then overwrite the real job's slot
-	// with it (as an FNV collision would).
-	j.Record("lbl", forged, pipeline.Outcome{Success: true, FinalCode: "forged"})
-	data, ok := st.Get(store.KindBenchJob, pipeline.JobKey("lbl", forged))
-	if !ok {
-		t.Fatal("forged record not stored")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	results, err := runJobs(ctx, "exp", pipeline.Config{Workers: 2}, fakeJobs(4), fakeFix)
+	if err == nil {
+		t.Fatal("canceled run must report its context error")
 	}
-	st.Put(store.KindBenchJob, pipeline.JobKey("lbl", real), data)
-
-	if _, ok := j.Lookup("lbl", real); ok {
-		t.Fatal("collision guard failed: foreign outcome restored")
+	if len(j.recs) != 0 {
+		t.Fatalf("canceled jobs were recorded: %d", len(j.recs))
 	}
-	if o, ok := j.Lookup("lbl", forged); !ok || o.FinalCode != "forged" {
-		t.Fatal("genuine record must still round-trip")
+	for _, r := range results {
+		if r.Err == nil && r.Transcript == nil {
+			t.Fatal("canceled result must carry its error")
+		}
 	}
 }
 
-// TestStoreJournalRoundtripFields checks full outcome fidelity through
-// the store codec, including nil-vs-empty rule slices.
-func TestStoreJournalRoundtripFields(t *testing.T) {
-	dir := t.TempDir()
-	st, err := store.Open(dir, store.Options{NoFlusher: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	j := NewStoreJournal(st)
-	jb := pipeline.Job{Filename: "f.v", Code: "c", SampleSeed: -7}
-	want := pipeline.Outcome{
-		Success:    true,
-		Iterations: 3,
-		FinalCode:  "module ok; endmodule",
-		FixerRules: []string{"strip-prose", "dup-endmodule"},
-		ElapsedNS:  123456789,
-	}
-	j.Record("lbl", jb, want)
-	got, ok := j.Lookup("lbl", jb)
-	if !ok {
-		t.Fatal("lookup missed")
-	}
-	if got.Success != want.Success || got.Iterations != want.Iterations ||
-		got.FinalCode != want.FinalCode || got.ElapsedNS != want.ElapsedNS ||
-		len(got.FixerRules) != 2 || got.FixerRules[0] != "strip-prose" {
-		t.Fatalf("roundtrip = %+v, want %+v", got, want)
-	}
+// TestSetJournalRecordsEveryTable1Job: a recorder installed with
+// SetJournal sees exactly one record per Table 1 agent job, each under a
+// table1 label that names its fixer configuration.
+func TestSetJournalRecordsEveryTable1Job(t *testing.T) {
+	entries, _ := curate.Build(curate.Options{Seed: 11})
+	entries = entries[:3]
+	const repeats = 2
+	j := &sliceJournal{}
+	SetJournal(j)
+	defer SetJournal(nil)
 
-	jb2 := pipeline.Job{Filename: "f.v", Code: "c2", SampleSeed: 0}
-	j.Record("lbl", jb2, pipeline.Outcome{})
-	got2, ok := j.Lookup("lbl", jb2)
-	if !ok || got2.FixerRules != nil {
-		t.Fatalf("nil rules must stay nil: %+v ok=%v", got2, ok)
+	res := RunTable1(Table1Config{Seed: 11, Repeats: repeats, Entries: entries, Workers: 2, Cache: true})
+	cells := 0
+	for _, c := range res.Cells {
+		if !math.IsNaN(c.FixRate) {
+			cells++
+		}
+	}
+	if want := cells * len(entries) * repeats; len(j.recs) != want {
+		t.Fatalf("recorded %d jobs, want %d (%d cells x %d entries x %d repeats)",
+			len(j.recs), want, cells, len(entries), repeats)
+	}
+	type key struct {
+		label string
+		index int
+	}
+	seen := map[key]bool{}
+	for _, r := range j.recs {
+		if !strings.HasPrefix(r.label, "table1/mode=") {
+			t.Fatalf("record label %q does not name a table1 fixer configuration", r.label)
+		}
+		k := key{r.label, r.job.Index}
+		if seen[k] {
+			t.Fatalf("job %d recorded twice under %q", r.job.Index, r.label)
+		}
+		seen[k] = true
 	}
 }

@@ -148,8 +148,9 @@ func RunTable1(cfg Table1Config) *Table1Result {
 // configuration out over the worker pool and aggregates them; shared by
 // Table 1 and the ablations. Each entry is one job group, so the
 // summary's FixRate is exactly metrics.FixRate over entries. The
-// experiment label plus the fixer fingerprint scopes the resume journal
-// (journal.go); repeats ride along because they shape the seed schedule.
+// experiment label plus the fixer fingerprint names the configuration in
+// per-job records (journal.go); repeats ride along because they shape the
+// seed schedule.
 func runFixRateJobs(label string, f *core.RTLFixer, entries []curate.Entry, repeats, workers int) *pipeline.Summary {
 	jobs := make([]pipeline.Job, 0, len(entries)*repeats)
 	for i, e := range entries {

@@ -229,9 +229,7 @@ func RunTable2(cfg Table2Config) *Table2Result {
 			}
 		}
 
-		// Phase B: the agent runs, fanned out over the pool (journaled
-		// when cmd/benchmark enabled -state-dir, so a resumed run skips
-		// completed fixes).
+		// Phase B: the agent runs, fanned out over the pool.
 		label := fmt.Sprintf("table2/%s/samples=%d/%s", suite, cfg.SampleN, fixerLabel(rtlfixer))
 		fixResults, err := runJobs(context.Background(), label, pipeline.Config{Workers: cfg.Workers}, jobs,
 			pipeline.FixWith(rtlfixer))

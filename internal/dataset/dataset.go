@@ -18,7 +18,6 @@ import (
 	"repro/internal/bitvec"
 	"repro/internal/memo"
 	"repro/internal/sim"
-	"repro/internal/store"
 )
 
 // oracle is the package-wide content-addressed cache over the functional
@@ -28,16 +27,6 @@ import (
 // reference recompilation behind every testbench are served from cache.
 // The cache is transparent: results are byte-identical with or without it.
 var oracle = memo.NewSimCache(0)
-
-// AttachStore hooks a durable backing (internal/store) under the oracle
-// cache: every distinct source it compiles is recorded write-behind, and
-// with warm true, previously recorded sources are recompiled now — the
-// warm start that moves the oracle's compile cost to boot time. Call
-// before issuing Checks (cmd/benchmark does, from -state-dir). Returns
-// the number of sources replayed.
-func AttachStore(b store.Backing, warm bool) int {
-	return oracle.AttachStore(b, warm)
-}
 
 // OracleCacheStats snapshots the package oracle's memoization counters.
 func OracleCacheStats() memo.Stats { return oracle.Stats() }

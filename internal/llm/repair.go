@@ -480,11 +480,19 @@ func repairCStyle(code string, _ Hypothesis) Outcome {
 	// Rewrite every line, not just the flagged one — C idioms travel in
 	// groups, and one compile round should clear them all.
 	changed := false
+	// Each rewrite is guarded by a literal every match needs, so lines
+	// without C idioms never enter the regexp engine.
 	for i := range lines {
 		orig := lines[i]
-		lines[i] = incRe.ReplaceAllString(lines[i], "$1 = $1 + 1")
-		lines[i] = decRe.ReplaceAllString(lines[i], "$1 = $1 - 1")
-		lines[i] = compoundRe.ReplaceAllString(lines[i], "$1 = $1 $2 ")
+		if strings.Contains(lines[i], "++") {
+			lines[i] = incRe.ReplaceAllString(lines[i], "$1 = $1 + 1")
+		}
+		if strings.Contains(lines[i], "--") {
+			lines[i] = decRe.ReplaceAllString(lines[i], "$1 = $1 - 1")
+		}
+		if strings.Contains(lines[i], "=") {
+			lines[i] = compoundRe.ReplaceAllString(lines[i], "$1 = $1 $2 ")
+		}
 		if lines[i] != orig {
 			changed = true
 		}

@@ -63,6 +63,27 @@ func TestRepairCStyleBraces(t *testing.T) {
 endmodule`)
 }
 
+// TestRepairCStyleRewrites pins the exact text of the C-idiom rewrites,
+// including lines that carry several idioms at once.
+func TestRepairCStyleRewrites(t *testing.T) {
+	cases := []struct {
+		in, want string
+	}{
+		{"\ti++;", "\ti = i + 1;"},
+		{"\tcount--;", "\tcount = count - 1;"},
+		{"\tacc |= x;", "\tacc = acc | x;"},
+		{"\ti++; a += b;", "\ti = i + 1; a = a + b;"},
+		{"\tfor (i = 0; i < 8; i++) acc ^= in[i];", "\tfor (i = 0; i < 8; i = i + 1) acc = acc ^ in[i];"},
+		{"\tassign y = a - b;", "\tassign y = a - b;"},
+	}
+	for _, c := range cases {
+		out := repairCStyle("module m;\n"+c.in+"\nendmodule", Hypothesis{})
+		if got := splitLines(out.Code)[1]; got != c.want {
+			t.Errorf("repairCStyle(%q) line = %q, want %q", c.in, got, c.want)
+		}
+	}
+}
+
 func TestRepairGenericSyntaxFallsBackToSemicolon(t *testing.T) {
 	// An iverilog-style bare "syntax error" hypothesis must still find
 	// the missing semicolon through the generic strategy.

@@ -24,22 +24,15 @@
 //     shared by every dataset.Problem.Check so the pass@k loop pays one
 //     engine compile per distinct source.
 //
-// All three caches are process-lifetime by default; persist.go hangs a
-// durable backing (internal/store) underneath them: compile results and
-// the retrieval-index image restore at attach time (warm start) and
-// write behind, sim sources are recorded and replayed through the
-// compiler at boot. Lookups stay in-memory-first; only a miss consults
-// disk before recomputing. Per-layer process totals (TotalsByKind)
-// make warm-start effectiveness observable per cache.
+// All three caches live for the process. Per-layer process totals
+// (TotalsByKind) make each cache's effectiveness observable.
 //
 // Correctness contract: every component is transparent. A cached compile
 // returns the same Result the wrapped persona would produce (results are
 // shared, so callers must treat them as read-only — which every consumer
 // already does); an indexed retrieval returns the same entries in the
-// same order as the naive scan; a restored record serves the same bytes
-// a cold compute would (collision-guarded and schema-versioned, so
-// anything doubtful recomputes). Table output is therefore byte-identical
-// with the layer on or off, at any worker count, across restarts.
+// same order as the naive scan. Table output is therefore byte-identical
+// with the layer on or off, at any worker count.
 package memo
 
 import (
@@ -48,7 +41,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/compiler"
-	"repro/internal/store"
 )
 
 // Stats is a point-in-time snapshot of memoization counters.
@@ -100,9 +92,9 @@ func (c *counters) snapshot() Stats {
 	}
 }
 
-// The process-wide totals are kept per cache layer so warm-start
-// effectiveness is observable per layer (compile vs sim vs retrieval),
-// then summed for the legacy aggregate view.
+// The process-wide totals are kept per cache layer so each layer's
+// effectiveness is observable (compile vs sim vs retrieval), then summed
+// for the legacy aggregate view.
 var (
 	globalCompile   counters
 	globalSim       counters
@@ -176,13 +168,6 @@ type CompileCache struct {
 	shards      []cacheShard
 	capPerShard int
 	c           counters
-	// backing, when non-nil, is the durable store under the cache:
-	// misses consult it before recomputing, fresh results are written
-	// behind. Set once via AttachStore (persist.go) before serving.
-	backing store.Backing
-	// loaded counts entries restored from the backing (attach-time warm
-	// start plus lazy miss-path loads).
-	loaded atomic.Uint64
 }
 
 // NewCompileCache builds a cache holding at least capacity results
@@ -247,15 +232,6 @@ func (cc *CompileCache) get(key compileKey, src string) (compiler.Result, bool) 
 		globalCompile.hits.Add(1)
 		return e.res, true
 	}
-	// Memory missed (or an FNV collision shadowed the slot): consult the
-	// durable backing before conceding a recompute.
-	if cc.backing != nil {
-		if res, ok := cc.backingGet(key, src); ok {
-			cc.c.hits.Add(1)
-			globalCompile.hits.Add(1)
-			return res, true
-		}
-	}
 	cc.c.misses.Add(1)
 	globalCompile.misses.Add(1)
 	return compiler.Result{}, false
@@ -274,13 +250,6 @@ func (cc *CompileCache) peek(key compileKey, src string) (compiler.Result, bool)
 		cc.c.hits.Add(1)
 		globalCompile.hits.Add(1)
 		return e.res, true
-	}
-	if cc.backing != nil {
-		if res, ok := cc.backingGet(key, src); ok {
-			cc.c.hits.Add(1)
-			globalCompile.hits.Add(1)
-			return res, true
-		}
 	}
 	return compiler.Result{}, false
 }
@@ -341,8 +310,7 @@ func (c *cachedCompiler) Name() string { return c.inner.Name() }
 // InfoScore implements compiler.Compiler.
 func (c *cachedCompiler) InfoScore() float64 { return c.inner.InfoScore() }
 
-// CompileHit reports whether (filename, src) is already cached — in
-// memory or the durable backing — returning the cached result when so.
+// CompileHit reports whether (filename, src) is already cached, returning the cached result when so.
 // A hit is accounted exactly as a Compile hit; a miss has no side
 // effects, and callers fall through to Compile for the full miss path.
 // The tracing layer probes this (via a structural interface) to
@@ -361,6 +329,5 @@ func (c *cachedCompiler) Compile(filename, src string) compiler.Result {
 	}
 	res := c.inner.Compile(filename, src)
 	c.cache.put(key, src, res)
-	c.cache.backingPut(key, src, res)
 	return res
 }

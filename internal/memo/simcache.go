@@ -20,13 +20,11 @@ package memo
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/compiler"
 	"repro/internal/diag"
 	"repro/internal/sema"
 	"repro/internal/sim"
-	"repro/internal/store"
 	"repro/internal/verilog"
 )
 
@@ -52,14 +50,6 @@ type SimCache struct {
 	shards      []simShard
 	capPerShard int
 	c           counters
-	// backing, when non-nil, durably records every distinct source the
-	// cache compiles (replay-style persistence: programs hold pointer
-	// graphs that cannot round-trip through disk, so the record is the
-	// input and warm start replays it through the compiler). Set once via
-	// AttachStore (persist.go) before serving.
-	backing store.Backing
-	// loaded counts sources recompiled from the backing at attach time.
-	loaded atomic.Uint64
 }
 
 // NewSimCache builds a cache holding at least capacity entries across all
@@ -127,9 +117,6 @@ func (sc *SimCache) lookup(src string) simEntry {
 	globalSim.misses.Add(1)
 
 	e = compileSimEntry(src)
-	// Record the source durably (write-behind) so a warm start can
-	// replay it; the store dedupes repeats of the same key.
-	sc.backingPut(src)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -165,29 +152,4 @@ func compileSimEntry(src string) simEntry {
 		e.prog, e.err = sim.Compile(e.design)
 	}
 	return e
-}
-
-// insertWarm places a precompiled entry into the cache without touching
-// the hit/miss counters or the backing — the attach-time warm-start path.
-// Present entries are left alone (first write wins, as in lookup).
-func (sc *SimCache) insertWarm(e simEntry) {
-	key := HashSource(e.src)
-	s := &sc.shards[key%uint64(len(sc.shards))]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.entries[key]; dup {
-		return
-	}
-	for len(s.entries) >= sc.capPerShard && len(s.order) > 0 {
-		oldest := s.order[0]
-		s.order = s.order[1:]
-		if _, ok := s.entries[oldest]; ok {
-			delete(s.entries, oldest)
-			sc.c.evictions.Add(1)
-			globalSim.evictions.Add(1)
-		}
-	}
-	s.entries[key] = e
-	s.order = append(s.order, key)
-	sc.loaded.Add(1)
 }

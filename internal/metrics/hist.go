@@ -41,7 +41,7 @@ func (g *Gauge) Dec() { g.v.Add(-1) }
 func (g *Gauge) Set(n int64) { g.v.Store(n) }
 
 // Max raises the level to n when n exceeds it — a lock-free running
-// maximum (dispatch batch-size high-water marks, store flush-lag peaks).
+// maximum (dispatch batch-size high-water marks).
 func (g *Gauge) Max(n int64) {
 	for {
 		cur := g.v.Load()

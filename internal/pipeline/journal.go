@@ -1,93 +1,32 @@
-// Journaled runs: the resumable form of Run. Every completed job's
-// outcome is recorded through a caller-supplied Journal (reusing the
-// OnResult per-job completion hook), and a later run over the same
-// labeled batch restores those outcomes instead of re-running the jobs —
-// a killed benchmark restarts and skips straight to the unfinished work.
-//
-// The journal stores the replayable essence of a transcript (success,
-// iteration count, final code, fixer rules, elapsed), which is exactly
-// the set of fields the summary layer and the bench tables consume; a
-// restored result therefore reproduces the original run's tables
-// byte-for-byte. The full step-by-step transcript is not kept — a
-// restored Transcript renders without its Thought/Action/Observation
-// trace, which no table reads.
-//
-// Correctness rests on the same contract Run already imposes: a FixFunc
-// is a pure function of its Job. A journal entry is content-addressed by
-// (label, filename, code, seed), so it can only ever replace a run that
-// would have produced the same transcript. The label carries everything
-// that selects behaviour beyond the job fields — the fixer configuration,
-// experiment name, base seed — so two differently configured runs never
-// share entries.
+// Per-job recording: a caller-supplied Journal receives the essence of
+// every completed job (success, iteration count, final code, fixer rules,
+// lint findings, elapsed), which is exactly the set of fields the summary
+// layer and the bench tables consume. The bench layer records through it
+// from the per-job completion hook, so an external harness can check a
+// run's results without parsing its tables.
 package pipeline
 
-import (
-	"context"
-	"hash/fnv"
-	"time"
-
-	"repro/internal/agent"
-)
-
-// Outcome is one journaled job completion.
+// Outcome is the recorded essence of one job completion.
 type Outcome struct {
 	Success    bool
 	Iterations int
 	FinalCode  string
 	FixerRules []string
-	// LintFindings preserves the transcript's analyzer-findings count so
-	// the analyzer A/B table survives a resume.
+	// LintFindings is the transcript's analyzer-findings count.
 	LintFindings int
-	// ElapsedNS preserves the original run's per-job wall-clock time, so
-	// aggregate work accounting survives a resume.
+	// ElapsedNS is the job's wall-clock time.
 	ElapsedNS int64
 }
 
-// Journal persists job outcomes. The full (label, job) identity is
-// passed through — not just a hash — so implementations can store enough
-// of it to detect key collisions and degrade them to a re-run instead of
-// restoring a foreign outcome. Implementations must be safe for
-// concurrent use (Record calls arrive from the completion hook, which is
-// serialized per run, but concurrent runs may interleave).
+// Journal receives job outcomes. The label scopes the job to one exact
+// run configuration. Implementations must be safe for concurrent use
+// (Record calls arrive from the completion hook, which is serialized per
+// run, but concurrent runs may interleave).
 type Journal interface {
-	// Lookup returns the outcome recorded for the job, if any.
-	Lookup(label string, j Job) (Outcome, bool)
-	// Record stores the job's outcome.
 	Record(label string, j Job, o Outcome)
 }
 
-// JobKey content-addresses one job within a labeled batch: FNV-64a over
-// the label and the job fields the fix function sees (filename, code,
-// seed). Group and index are excluded — the outcome does not depend on
-// them — so identical attempts dedupe across groups.
-func JobKey(label string, j Job) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(label))
-	h.Write([]byte{0})
-	h.Write([]byte(j.Filename))
-	h.Write([]byte{0})
-	h.Write([]byte(j.Code))
-	var seed [8]byte
-	for i := 0; i < 8; i++ {
-		seed[i] = byte(j.SampleSeed >> (8 * i))
-	}
-	h.Write([]byte{0})
-	h.Write(seed[:])
-	return h.Sum64()
-}
-
-// transcript rebuilds the replayable view of a journaled completion.
-func (o Outcome) transcript() *agent.Transcript {
-	return &agent.Transcript{
-		Success:      o.Success,
-		Iterations:   o.Iterations,
-		FinalCode:    o.FinalCode,
-		FixerRules:   o.FixerRules,
-		LintFindings: o.LintFindings,
-	}
-}
-
-// OutcomeOf extracts the journaled essence of a completed result.
+// OutcomeOf extracts the recorded essence of a completed result.
 func OutcomeOf(r Result) Outcome {
 	return Outcome{
 		Success:      r.Transcript.Success,
@@ -97,72 +36,4 @@ func OutcomeOf(r Result) Outcome {
 		LintFindings: r.Transcript.LintFindings,
 		ElapsedNS:    int64(r.Elapsed),
 	}
-}
-
-// RunJournaled is Run with persistence: jobs whose outcome is already in
-// the journal are restored without running (delivered to the OnResult /
-// OnProgress hooks first, in job order), the rest run through Run with
-// every fresh completion recorded. The returned slice is ordered by job
-// index and byte-equivalent to an uninterrupted Run for every field the
-// summary and table layers consume. A nil journal degrades to Run.
-func RunJournaled(ctx context.Context, cfg Config, label string, jobs []Job, fn FixFunc, j Journal) ([]Result, error) {
-	if j == nil {
-		return Run(ctx, cfg, jobs, fn)
-	}
-
-	results := make([]Result, len(jobs))
-	var pending []Job
-	var pendingIdx []int
-	for i, jb := range jobs {
-		jb.Index = i
-		if o, ok := j.Lookup(label, jb); ok {
-			results[i] = Result{Job: jb, Transcript: o.transcript(), Elapsed: time.Duration(o.ElapsedNS)}
-			continue
-		}
-		pending = append(pending, jb)
-		pendingIdx = append(pendingIdx, i)
-	}
-
-	// Deliver restored completions through the caller's hooks so
-	// progress accounting matches an uninterrupted run's totals.
-	done := 0
-	for i := range jobs {
-		if results[i].Transcript == nil {
-			continue
-		}
-		if cfg.OnResult != nil {
-			cfg.OnResult(results[i])
-		}
-		if cfg.OnProgress != nil {
-			done++
-			cfg.OnProgress(done, len(jobs))
-		}
-	}
-	if len(pending) == 0 {
-		return results, ctx.Err()
-	}
-
-	inner := cfg
-	inner.OnProgress = nil
-	inner.OnResult = func(r Result) {
-		orig := pendingIdx[r.Job.Index]
-		r.Job.Index = orig
-		if r.Err == nil && r.Transcript != nil {
-			j.Record(label, r.Job, OutcomeOf(r))
-		}
-		if cfg.OnResult != nil {
-			cfg.OnResult(r)
-		}
-		if cfg.OnProgress != nil {
-			done++
-			cfg.OnProgress(done, len(jobs))
-		}
-	}
-
-	sub, err := Run(ctx, inner, pending, fn)
-	for si, r := range sub {
-		r.Job.Index = pendingIdx[si]
-		results[pendingIdx[si]] = r
-	}
-	return results, err
 }

@@ -129,9 +129,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		{Labels: []metrics.PromLabel{{Name: "surface", Value: "trace"}}, Value: float64(st.brownoutTracesShed.Value())},
 	})
 	p.Gauge("rtlfixer_ready", "1 once the server passes /v1/readyz gating (prewarm done, not draining).", boolGauge(s.ready.Load() && !s.isDraining()))
-	if s.cfg.Store != nil {
-		p.Gauge("rtlfixer_store_degraded", "1 while the durable store is shedding to in-memory-only.", boolGauge(s.cfg.Store.Degraded()))
-	}
 
 	if s.stages != nil {
 		snap := s.stages.Snapshot()

@@ -238,6 +238,23 @@ func TestHealthzBuildInfoAndTrace(t *testing.T) {
 	}
 }
 
+// TestStatsReportsPerCacheLayers checks the /v1/stats cache breakdown:
+// the aggregate equals the sum of the per-layer counters.
+func TestStatsReportsPerCacheLayers(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if status, _ := postFix(t, ts.URL, map[string]any{"source": brokenSource}); status != http.StatusOK {
+		t.Fatalf("fix status = %d", status)
+	}
+	snap := s.Stats()
+	if snap.Cache.Compile.Hits+snap.Cache.Compile.Misses == 0 {
+		t.Fatal("serving a fix must go through the compile cache")
+	}
+	sum := snap.Cache.Compile.Hits + snap.Cache.Sim.Hits + snap.Cache.Retrieval.Hits
+	if snap.Cache.Hits != sum {
+		t.Fatalf("aggregate hits %d != per-layer sum %d", snap.Cache.Hits, sum)
+	}
+}
+
 // TestStatsCarriesStagesAndSimCheck: /v1/stats grows the stage
 // breakdown and sim-check counters the loadgen table consumes.
 func TestStatsCarriesStagesAndSimCheck(t *testing.T) {

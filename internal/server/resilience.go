@@ -9,10 +9,6 @@
 //   - LLM backend outage → retried inside the agent (internal/agent);
 //     past the budget the run aborts into a typed 502, and consecutive
 //     aborts against one configuration open its breaker here.
-//   - Store unavailable → the store itself degrades to bounded
-//     in-memory-only (internal/store); /v1/readyz answers 503
-//     "store-degraded" so balancers drain writes away, /v1/healthz just
-//     reports the flag (the process is alive).
 //   - Overload → once admission fill crosses BrownoutThreshold, lint
 //     answers 503 and new request traces are shed; fix traffic keeps
 //     the capacity.
@@ -132,8 +128,7 @@ func (s *Server) prewarm() {
 }
 
 // handleReadyz serves GET /v1/readyz: the routability probe. 503 while
-// draining, while the prewarm is still building, or while the store is
-// degraded; 200 otherwise. Load balancers and loadgen -wait-ready poll
+// draining or while the prewarm is still building; 200 otherwise. Load balancers and loadgen -wait-ready poll
 // this; liveness stays on /v1/healthz.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	s.st.readyzRequests.Inc()
@@ -145,9 +140,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 	case !s.ready.Load():
 		body["status"] = "warming"
-		status = http.StatusServiceUnavailable
-	case s.cfg.Store != nil && s.cfg.Store.Degraded():
-		body["status"] = "store-degraded"
 		status = http.StatusServiceUnavailable
 	default:
 		body["status"] = "ready"

@@ -14,7 +14,6 @@ import (
 	"repro/internal/memo"
 	"repro/internal/metrics"
 	"repro/internal/resilience"
-	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -177,8 +176,8 @@ type StatsSnapshot struct {
 	// Cache mirrors memo.Totals(): the process-wide memoization counters
 	// behind every pooled fixer. The aggregate fields are kept for
 	// compatibility; Compile/Sim/Retrieval break the same counters out
-	// per cache layer (memo.TotalsByKind) so warm-start effectiveness is
-	// observable per layer.
+	// per cache layer (memo.TotalsByKind) so each layer's effectiveness
+	// is observable.
 	Cache struct {
 		Hits      uint64 `json:"hits"`
 		Misses    uint64 `json:"misses"`
@@ -203,7 +202,7 @@ type StatsSnapshot struct {
 
 	// Resilience is the fault-tolerance ledger: recovered panics per
 	// bulkhead, breaker activity per fixer configuration, the LLM retry/
-	// abort split, brownout shedding, and store degradation.
+	// abort split, and brownout shedding.
 	Resilience struct {
 		PanicsHTTP         uint64 `json:"panics_http"`
 		PanicsWorker       uint64 `json:"panics_worker"`
@@ -214,7 +213,6 @@ type StatsSnapshot struct {
 		BrownoutLintShed   uint64 `json:"brownout_lint_shed"`
 		BrownoutTracesShed uint64 `json:"brownout_traces_shed"`
 		SimWatchdogTrips   uint64 `json:"sim_watchdog_trips"`
-		StoreDegraded      bool   `json:"store_degraded"`
 		Ready              bool   `json:"ready"`
 
 		// Breakers holds one snapshot per pooled fixer configuration,
@@ -245,11 +243,6 @@ type StatsSnapshot struct {
 	// Trace, present when tracing is on, is the trace collector's
 	// occupancy (ring fill, slow tier, totals).
 	Trace *trace.Occupancy `json:"trace,omitempty"`
-
-	// Store, present when the daemon runs with -state-dir, is the durable
-	// state layer's snapshot: record counts, journal size, flush lag, and
-	// load/store counters.
-	Store *store.Stats `json:"store,omitempty"`
 }
 
 // CacheLayerStats is one cache layer's counters (memo.Stats, JSON-ready).
@@ -345,7 +338,6 @@ func (s *Server) Stats() StatsSnapshot {
 	snap.Resilience.BrownoutLintShed = st.brownoutLintShed.Value()
 	snap.Resilience.BrownoutTracesShed = st.brownoutTracesShed.Value()
 	snap.Resilience.SimWatchdogTrips = st.simWatchdog.Value()
-	snap.Resilience.StoreDegraded = s.cfg.Store != nil && s.cfg.Store.Degraded()
 	snap.Resilience.Ready = s.ready.Load()
 	snap.Resilience.Breakers = s.breakerSnapshots()
 	snap.Faults = fault.Snapshot()
@@ -358,11 +350,6 @@ func (s *Server) Stats() StatsSnapshot {
 	if s.tracer != nil {
 		occ := s.tracer.Occupancy()
 		snap.Trace = &occ
-	}
-
-	if s.cfg.Store != nil {
-		st := s.cfg.Store.Stats()
-		snap.Store = &st
 	}
 	return snap
 }
