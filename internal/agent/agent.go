@@ -223,13 +223,15 @@ func preclean(code string, t *Transcript) string {
 // of the compiler-log dialects the model's log analysis parses, so the
 // error taxonomy, retrieval, and repair strategy selection are
 // byte-identical with the analyzer on or off.
-func observe(cfg Config, code string, res compiler.Result, t *Transcript) string {
+func observe(cfg Config, res compiler.Result, t *Transcript) string {
 	if cfg.DisableAnalyzer {
 		return res.Log
 	}
-	// Analyzer failure is never fatal (degradation ladder): a panicking
-	// rule just means this observation carries no lint lines.
-	findings, err := analyze.SafeSource(code, analyze.Options{})
+	// The findings are memoized in the compile's frontend unit, so a
+	// cached compile costs no analysis. Analyzer failure is never fatal
+	// (degradation ladder): a panicking rule just means this observation
+	// carries no lint lines.
+	findings, err := analyze.Guard(res.Findings)
 	if err != nil || len(findings) == 0 {
 		return res.Log
 	}
@@ -314,7 +316,7 @@ func RunOneShot(cfg Config, code string) *Transcript {
 		t.add(StepAction, "Finish", "the code already compiles")
 		return t
 	}
-	obs := observe(cfg, cur, res, t)
+	obs := observe(cfg, res, t)
 	t.add(StepObservation, "", obs)
 
 	var guidance []rag.Entry
@@ -368,7 +370,7 @@ func RunReAct(cfg Config, code string) *Transcript {
 		t.add(StepAction, "Finish", "the code already compiles")
 		return t
 	}
-	obs := observe(cfg, cur, res, t)
+	obs := observe(cfg, res, t)
 	t.add(StepObservation, "", obs)
 
 	pol := cfg.retryPolicy() // one retry budget across all iterations
@@ -415,7 +417,7 @@ func RunReAct(cfg Config, code string) *Transcript {
 			it.End()
 			return t
 		}
-		obs = observe(cfg, cur, res, t)
+		obs = observe(cfg, res, t)
 		t.add(StepObservation, "", obs)
 		it.End()
 	}

@@ -16,7 +16,9 @@
 // The engine runs on a best-effort design: sema errors do not stop it
 // (rules nil-guard missing signals), only parse errors do. That is what
 // lets analyzer findings ride along with elaboration errors in the
-// fixer's feedback during a repair loop.
+// fixer's feedback during a repair loop. Run is the one entry point; the
+// repair loop and /v1/lint reach it through the compile's frontend unit
+// (compiler.Unit), whose findings are computed once per candidate.
 package analyze
 
 import (
@@ -201,22 +203,6 @@ func Run(file *verilog.SourceFile, design *sema.Design, opts Options) diag.List 
 	out = out.Dedupe()
 	out.SortByPos()
 	return out
-}
-
-// Source parses and elaborates src, then runs the analyzer. Sources
-// with parse errors yield no findings (there is no tree to analyze);
-// elaboration errors are tolerated. This is the entry point the fixer's
-// repair loop uses on intermediate candidates.
-func Source(src string, opts Options) diag.List {
-	file, parseDiags := verilog.Parse(src)
-	if parseDiags.HasErrors() {
-		return nil
-	}
-	design, _ := sema.Elaborate(file)
-	if design == nil {
-		return nil
-	}
-	return Run(file, design, opts)
 }
 
 // RenderText renders findings as feedback lines for the fixer's LLM

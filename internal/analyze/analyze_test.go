@@ -5,12 +5,26 @@ import (
 	"testing"
 
 	"repro/internal/diag"
+	"repro/internal/sema"
+	"repro/internal/verilog"
 )
+
+// source parses and elaborates src and runs the analyzer on the
+// best-effort design, as compiler.Unit does: parse errors yield no
+// findings, elaboration errors are tolerated.
+func source(src string, opts Options) diag.List {
+	file, diags := verilog.Parse(src)
+	if diags.HasErrors() {
+		return nil
+	}
+	design, _ := sema.Elaborate(file)
+	return Run(file, design, opts)
+}
 
 // findingsFor runs one rule over a source and returns its findings.
 func findingsFor(t *testing.T, rule, src string) diag.List {
 	t.Helper()
-	return Source(src, Options{Rules: []string{rule}})
+	return source(src, Options{Rules: []string{rule}})
 }
 
 // fires asserts the rule reports (or stays silent on) the source, and
@@ -332,17 +346,17 @@ func TestOptionsSeverityAndSelection(t *testing.T) {
 	src := `module m(input sel, input a, output reg y);
 	always @(*) if (sel) y = a;
 endmodule`
-	all := Source(src, Options{})
+	all := source(src, Options{})
 	if len(all) == 0 {
 		t.Fatal("expected findings with all rules enabled")
 	}
-	only := Source(src, Options{Rules: []string{"dead-signal"}})
+	only := source(src, Options{Rules: []string{"dead-signal"}})
 	for _, d := range only {
 		if d.Rule != "L009" {
 			t.Fatalf("rule filter leaked: %+v", d)
 		}
 	}
-	esc := Source(src, Options{
+	esc := source(src, Options{
 		Rules:    []string{"inferred-latch"},
 		Severity: map[string]diag.Severity{"all": diag.SeverityError},
 	})
@@ -359,7 +373,7 @@ endmodule`
 
 func TestSourceToleratesBrokenInput(t *testing.T) {
 	// Parse errors: no tree, no findings, no panic.
-	if got := Source("module m(; endmodule", Options{}); len(got) != 0 {
+	if got := source("module m(; endmodule", Options{}); len(got) != 0 {
 		t.Fatalf("findings on unparsable source: %v", got)
 	}
 	// Elaboration errors (undeclared identifier) must not stop the
@@ -369,7 +383,7 @@ func TestSourceToleratesBrokenInput(t *testing.T) {
 		if (undeclared_enable) y = a;
 	end
 endmodule`
-	got := Source(src, Options{Rules: []string{"inferred-latch"}})
+	got := source(src, Options{Rules: []string{"inferred-latch"}})
 	if len(got) == 0 {
 		t.Fatal("analyzer silent on sema-error source")
 	}
@@ -379,7 +393,7 @@ func TestRenderText(t *testing.T) {
 	src := `module m(input sel, input a, output reg y);
 	always @(*) if (sel) y = a;
 endmodule`
-	findings := Source(src, Options{Rules: []string{"inferred-latch"}})
+	findings := source(src, Options{Rules: []string{"inferred-latch"}})
 	text := RenderText("main.v", findings)
 	if !strings.Contains(text, "lint: main.v:2: warning [L001 inferred-latch]") {
 		t.Fatalf("unexpected render:\n%s", text)

@@ -1,8 +1,9 @@
-package analyze
+package analyze_test
 
 import (
 	"testing"
 
+	"repro/internal/analyze"
 	"repro/internal/dataset"
 	"repro/internal/diag"
 	"repro/internal/sema"
@@ -12,7 +13,7 @@ import (
 // analyzeSink keeps the measured calls from being optimized away.
 var analyzeSink diag.List
 
-// BenchmarkAnalyze measures the analyzer's rules alone (Run) over the
+// BenchmarkAnalyze measures the analyzer's rules alone (analyze.Run) over the
 // whole curated reference corpus (314 clean designs) per op, on designs
 // parsed and elaborated once up front.
 func BenchmarkAnalyze(b *testing.B) {
@@ -41,7 +42,7 @@ func BenchmarkAnalyze(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, u := range units {
-			analyzeSink = Run(u.file, u.design, Options{})
+			analyzeSink = analyze.Run(u.file, u.design, analyze.Options{})
 		}
 	}
 }

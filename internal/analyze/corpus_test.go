@@ -1,11 +1,24 @@
-package analyze
+package analyze_test
 
 import (
 	"testing"
 
+	"repro/internal/analyze"
+	"repro/internal/compiler"
 	"repro/internal/dataset"
 	"repro/internal/diag"
 )
+
+// findings is the analyzer as the repair loop and /v1/lint reach it: the
+// memoized findings of one frontend unit.
+func findings(t *testing.T, src string) diag.List {
+	t.Helper()
+	fs, err := compiler.NewUnit(src).Findings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fs
+}
 
 // TestCorpusSweep runs every rule over all curated reference solutions
 // and snapshots findings-by-rule counts. The references are handwritten
@@ -22,7 +35,7 @@ func TestCorpusSweep(t *testing.T) {
 	for _, suite := range []dataset.Suite{dataset.SuiteMachine, dataset.SuiteHuman, dataset.SuiteRTLLM} {
 		for _, p := range dataset.Problems(suite) {
 			total++
-			for _, d := range Source(p.RefSource, Options{}) {
+			for _, d := range findings(t, p.RefSource) {
 				counts[d.Rule]++
 				if counts[d.Rule] <= 3 {
 					t.Logf("%s/%s [%s] line %d: %s", suite, p.ID, d.Rule, d.Pos.Line, d.Message)
@@ -36,7 +49,7 @@ func TestCorpusSweep(t *testing.T) {
 	if total != 314 {
 		t.Fatalf("curated corpus changed size: %d problems (sweep expects 314)", total)
 	}
-	for _, r := range Rules() {
+	for _, r := range analyze.Rules() {
 		if _, ok := golden[r.Code]; !ok {
 			t.Errorf("rule %s missing from the golden snapshot; update it deliberately", r.Code)
 		}
@@ -100,7 +113,7 @@ endmodule`,
 	}
 	counts := map[string]int{}
 	for i, src := range fixtures {
-		fs := Source(src, Options{})
+		fs := findings(t, src)
 		if len(fs) == 0 {
 			t.Errorf("fixture %d produced no findings", i+1)
 		}

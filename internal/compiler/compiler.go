@@ -17,8 +17,11 @@ package compiler
 import (
 	"fmt"
 	"strings"
+	"sync"
 
+	"repro/internal/analyze"
 	"repro/internal/diag"
+	"repro/internal/resilience"
 	"repro/internal/sema"
 	"repro/internal/verilog"
 )
@@ -37,6 +40,19 @@ type Result struct {
 	File *verilog.SourceFile
 	// Design is the elaborated design, non-nil only when Ok.
 	Design *sema.Design
+
+	// unit is the frontend pass behind this result; copies of a Result
+	// (and compile-cache hits) share it, and with it the findings memo.
+	unit *Unit
+}
+
+// Findings returns the semantic analyzer's findings for the compiled
+// source; see Unit.Findings. A Result not built by a persona has none.
+func (r Result) Findings() (diag.List, error) {
+	if r.unit == nil {
+		return nil, nil
+	}
+	return r.unit.Findings()
 }
 
 // Compiler is one feedback persona.
@@ -54,15 +70,35 @@ type Compiler interface {
 	InfoScore() float64
 }
 
-// Frontend runs parse + elaborate with the real-compiler masking rule:
+// Unit is one frontend pass over a candidate source: the AST, the
+// best-effort design and the diagnostics. The persona log and the
+// semantic analyzer both read it, so a candidate is lexed, parsed and
+// elaborated once.
+type Unit struct {
+	// File is the parsed AST (always present, possibly partial).
+	File *verilog.SourceFile
+	// Design is the best-effort elaborated design: nil when parsing
+	// failed, present (possibly partial) when elaboration reported
+	// errors. The analyzer runs on it either way.
+	Design *sema.Design
+	// Diags are the parse and elaboration diagnostics, deduplicated and
+	// sorted by position.
+	Diags diag.List
+
+	findingsOnce sync.Once
+	findings     diag.List
+	findingsErr  error
+}
+
+// NewUnit runs parse + elaborate with the real-compiler masking rule:
 // semantic analysis only runs when parsing succeeded, so parse errors hide
 // the elaboration errors behind them (the cascade that makes iterative
 // fixing necessary).
-func Frontend(src string) (*verilog.SourceFile, *sema.Design, diag.List) {
+func NewUnit(src string) *Unit {
 	file, parseDiags := verilog.Parse(src)
 	if parseDiags.HasErrors() {
 		parseDiags.SortByPos()
-		return file, nil, parseDiags
+		return &Unit{File: file, Diags: parseDiags}
 	}
 	design, semaDiags := sema.Elaborate(file)
 	// Copy into a fresh slice: append(parseDiags, ...) may share
@@ -73,10 +109,45 @@ func Frontend(src string) (*verilog.SourceFile, *sema.Design, diag.List) {
 	all = append(all, semaDiags...)
 	all = all.Dedupe()
 	all.SortByPos()
-	if all.HasErrors() {
-		return file, nil, all
+	return &Unit{File: file, Design: design, Diags: all}
+}
+
+// Ok reports whether the source parsed and elaborated with no errors.
+func (u *Unit) Ok() bool { return u.Design != nil && !u.Diags.HasErrors() }
+
+// Findings runs every analyzer rule (default severities) over the unit's
+// best-effort design, once: later calls, including every compile-cache
+// hit sharing the unit, return the same findings. Sources that do not
+// parse have none. A panicking rule is recovered and memoized as the
+// error, with no findings.
+func (u *Unit) Findings() (diag.List, error) {
+	u.findingsOnce.Do(func() {
+		u.findingsErr = resilience.Safe("analyze", func() {
+			u.findings = analyze.Run(u.File, u.Design, analyze.Options{})
+		})
+	})
+	return u.findings, u.findingsErr
+}
+
+// Frontend is NewUnit in the compiler's terms: the design is returned
+// only when the source compiled without errors.
+func Frontend(src string) (*verilog.SourceFile, *sema.Design, diag.List) {
+	u := NewUnit(src)
+	if !u.Ok() {
+		return u.File, nil, u.Diags
 	}
-	return file, design, all
+	return u.File, u.Design, u.Diags
+}
+
+// compile runs the frontend for one persona compile; the persona renders
+// the log.
+func compile(src string) Result {
+	u := NewUnit(src)
+	res := Result{Ok: u.Ok(), Diags: u.Diags, File: u.File, unit: u}
+	if res.Ok {
+		res.Design = u.Design
+	}
+	return res
 }
 
 // ---------- Simple ----------
@@ -93,8 +164,7 @@ func (Simple) InfoScore() float64 { return 0.0 }
 
 // Compile implements Compiler.
 func (Simple) Compile(filename, src string) Result {
-	file, design, diags := Frontend(src)
-	res := Result{File: file, Design: design, Diags: diags, Ok: design != nil}
+	res := compile(src)
 	if res.Ok {
 		res.Log = "Compilation successful."
 	} else {
@@ -120,8 +190,7 @@ const giveUpThreshold = 4
 
 // Compile implements Compiler.
 func (IVerilog) Compile(filename, src string) Result {
-	file, design, diags := Frontend(src)
-	res := Result{File: file, Design: design, Diags: diags, Ok: design != nil}
+	res := compile(src)
 	if res.Ok {
 		// Real iverilog is silent on success, but an empty log would leave
 		// the agent with an empty Observation step; echo the filename the
@@ -130,7 +199,7 @@ func (IVerilog) Compile(filename, src string) Result {
 		return res
 	}
 	var b strings.Builder
-	errs := diags.Errors()
+	errs := res.Diags.Errors()
 	syntaxErrs := 0
 	for _, d := range errs {
 		if isParseCategory(d.Category) {
@@ -275,11 +344,10 @@ func quartusCode(c diag.Category) int {
 
 // Compile implements Compiler.
 func (Quartus) Compile(filename, src string) Result {
-	file, design, diags := Frontend(src)
-	res := Result{File: file, Design: design, Diags: diags, Ok: design != nil}
+	res := compile(src)
 	var b strings.Builder
-	warnings := diags.Warnings()
-	errs := diags.Errors()
+	warnings := res.Diags.Warnings()
+	errs := res.Diags.Errors()
 	if res.Ok {
 		for _, w := range warnings {
 			fmt.Fprintf(&b, "Warning (%d): Verilog HDL warning at %s(%d): %s\n",

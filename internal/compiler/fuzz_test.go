@@ -4,9 +4,13 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/analyze"
 	"repro/internal/compiler"
 	"repro/internal/curate"
 	"repro/internal/dataset"
+	"repro/internal/diag"
+	"repro/internal/sema"
+	"repro/internal/verilog"
 )
 
 // FuzzFrontend holds compiler.Frontend to two invariants on arbitrary
@@ -35,6 +39,51 @@ func FuzzFrontend(f *testing.F) {
 		}
 		if !reflect.DeepEqual(diags1, diags2) {
 			t.Fatalf("diagnostics differ across calls:\n%v\n%v", diags1, diags2)
+		}
+	})
+}
+
+// FuzzAnalyze holds the frontend unit's memoized findings to three
+// invariants on arbitrary input: the analyzer never panics (Findings
+// would report it as an error), the findings equal analyze.Run over an
+// independent verilog.Parse + sema.Elaborate of the same source (the
+// best-effort design, also when elaboration fails), and a repeat call
+// returns the identical memoized list.
+func FuzzAnalyze(f *testing.F) {
+	for _, suite := range []dataset.Suite{dataset.SuiteMachine, dataset.SuiteHuman, dataset.SuiteRTLLM} {
+		for _, p := range dataset.Problems(suite)[:2] {
+			f.Add(p.RefSource)
+		}
+	}
+	entries, _ := curate.Build(curate.Options{Seed: 2024})
+	for _, e := range entries[:6] {
+		f.Add(e.Code)
+	}
+	for _, src := range lintFixtures(f) {
+		f.Add(src)
+	}
+	f.Add(`module m(input a, output reg y);
+	always @(*) begin
+		if (undeclared_enable) y = a;
+	end
+endmodule`)
+	f.Fuzz(func(t *testing.T, src string) {
+		u := compiler.NewUnit(src)
+		got, err := u.Findings()
+		if err != nil {
+			t.Fatalf("analyzer failed: %v", err)
+		}
+		var want diag.List
+		if file, parseDiags := verilog.Parse(src); !parseDiags.HasErrors() {
+			design, _ := sema.Elaborate(file)
+			want = analyze.Run(file, design, analyze.Options{})
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("unit findings differ from an independent analysis:\n%v\n%v", got, want)
+		}
+		again, err := u.Findings()
+		if err != nil || !reflect.DeepEqual(got, again) {
+			t.Fatalf("repeat call differs: %v\n%v\n%v", err, got, again)
 		}
 	})
 }

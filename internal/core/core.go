@@ -139,16 +139,17 @@ func (f *RTLFixer) Options() Options { return f.opts }
 // Lint compiles the source through the configured persona without running
 // the agent — the cheap diagnostic path (served from the compile cache
 // when Options.Cache is on). The returned Result carries the persona log
-// and the structured diagnostics; with the analyzer on, semantic-lint
-// findings are appended to a copy of the diagnostics (the cached slice is
-// never mutated).
+// and the structured diagnostics; with the analyzer on, the compile's
+// semantic-lint findings are appended to a copy of the diagnostics (the
+// cached slice is never mutated). A failing analyzer only drops the
+// findings.
 func (f *RTLFixer) Lint(filename, code string) compiler.Result {
 	res := f.compiler.Compile(filename, code)
 	if f.opts.DisableAnalyzer {
 		return res
 	}
-	findings := f.Analyze(code)
-	if len(findings) == 0 {
+	findings, err := analyze.Guard(res.Findings)
+	if err != nil || len(findings) == 0 {
 		return res
 	}
 	diags := make(diag.List, 0, len(res.Diags)+len(findings))
@@ -156,16 +157,6 @@ func (f *RTLFixer) Lint(filename, code string) compiler.Result {
 	diags = append(diags, findings...)
 	res.Diags = diags
 	return res
-}
-
-// Analyze runs the semantic lint engine alone over the source and returns
-// its findings (nil when the source does not parse, or when the analyzer
-// is disabled). Unlike Lint it never consults the compiler persona.
-func (f *RTLFixer) Analyze(code string) diag.List {
-	if f.opts.DisableAnalyzer {
-		return nil
-	}
-	return analyze.Source(code, analyze.Options{})
 }
 
 // Database returns the retrieval database, nil when RAG is off.

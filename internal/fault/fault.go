@@ -108,7 +108,7 @@ func New(seed int64) *Registry {
 
 // Set configures (or reconfigures) one injection point. rate is the
 // per-decision fire probability in [0, 1]; delay is the stall duration
-// for Delay points (ignored by Hit/Err points).
+// for Delay points (ignored by Hit points).
 func (r *Registry) Set(name string, rate float64, delay time.Duration) error {
 	if !known[name] {
 		return fmt.Errorf("fault: unknown injection point %q (known: %s)", name, strings.Join(Points(), ", "))
@@ -270,18 +270,6 @@ func Hit(name string) bool {
 	}
 	fire, _ := r.decide(name)
 	return fire
-}
-
-// Err returns an injected *Error when the named point fires, else nil.
-func Err(name string) error {
-	r := active.Load()
-	if r == nil {
-		return nil
-	}
-	if fire, _ := r.decide(name); fire {
-		return &Error{Point: name}
-	}
-	return nil
 }
 
 // Delay sleeps the point's configured duration when the named point

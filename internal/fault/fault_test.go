@@ -126,7 +126,7 @@ func TestLimit(t *testing.T) {
 // helpers fire per the profile and Snapshot reflects it.
 func TestGlobalHelpers(t *testing.T) {
 	Uninstall()
-	if Enabled() || Hit(WorkerPanic) || Err(LLMTransient) != nil || Snapshot() != nil {
+	if Enabled() || Hit(WorkerPanic) || Snapshot() != nil {
 		t.Fatal("uninstalled registry not inert")
 	}
 	Delay(SimStall) // must not sleep or panic
@@ -136,13 +136,8 @@ func TestGlobalHelpers(t *testing.T) {
 	if !Enabled() {
 		t.Fatal("Enabled() false after Install")
 	}
-	err := Err(LLMTransient)
-	if err == nil || !IsInjected(err) {
-		t.Fatalf("rate-1 Err = %v", err)
-	}
-	var fe *Error
-	if !errors.As(err, &fe) || fe.Point != LLMTransient {
-		t.Fatalf("typed error wrong: %v", err)
+	if !Hit(LLMTransient) {
+		t.Fatal("rate-1 point did not fire")
 	}
 	if Hit(WorkerPanic) {
 		t.Fatal("rate-0 point fired")

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/analyze"
+	"repro/internal/compiler"
 	"repro/internal/diag"
 	"repro/internal/sim"
 	"repro/internal/wave"
@@ -183,9 +184,11 @@ func Run(opts Options) (Stats, []Divergence) {
 }
 
 // AliasFindingsFor runs only the alias-hazard analyzer rule (L010) over
-// a module — the static side of the campaign's cross-check oracle.
+// a module's frontend unit — the static side of the campaign's
+// cross-check oracle.
 func AliasFindingsFor(src string) diag.List {
-	return analyze.Source(src, analyze.Options{Rules: []string{"L010"}})
+	u := compiler.NewUnit(src)
+	return analyze.Run(u.File, u.Design, analyze.Options{Rules: []string{"L010"}})
 }
 
 // CheckSource runs one module through the shared differential path.

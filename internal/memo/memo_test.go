@@ -324,3 +324,28 @@ func TestStatsArithmetic(t *testing.T) {
 		t.Fatalf("Sub = %+v", got)
 	}
 }
+
+// TestCacheHitSharesFindings: the frontend unit rides in the cache
+// entry, so a hit returns the memoized analyzer findings (the same list,
+// not a re-run), also for a source that fails elaboration, whose
+// best-effort design the analyzer still reads.
+func TestCacheHitSharesFindings(t *testing.T) {
+	src := "module m(input a, output reg y);\n\talways @(*) begin\n\t\tif (undeclared_enable) y = a;\n\tend\nendmodule\n"
+	cc := NewCompileCache(0)
+	c := cc.Cached(compiler.Quartus{})
+	first := c.Compile("main.v", src)
+	if first.Ok || first.Design != nil {
+		t.Fatal("undeclared identifier compiled")
+	}
+	f1, err := first.Findings()
+	if err != nil || len(f1) == 0 {
+		t.Fatalf("findings = %v, %v; want the latch on the best-effort design", f1, err)
+	}
+	f2, err := c.Compile("main.v", src).Findings()
+	if err != nil || len(f2) != len(f1) || &f2[0] != &f1[0] {
+		t.Fatal("cache hit did not return the memoized findings")
+	}
+	if s := cc.Stats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats = %+v", s)
+	}
+}

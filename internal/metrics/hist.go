@@ -88,10 +88,11 @@ func NewHistogram(start, factor float64, n int) *Histogram {
 }
 
 // NewLatencyHistogram is the serving default: millisecond observations
-// from 0.25 ms to ~131 s (0.25 × 2^19) in doubling buckets plus
-// overflow — fine enough at the fast end for cache hits, and the last
+// from about 1 µs (0.25/256 ms) to ~131 s (0.25 × 2^19) in doubling
+// buckets plus overflow — fine enough at the fast end to resolve
+// sub-millisecond stages such as cache hits and lint, and the last
 // finite edge sits just above the server's 2-minute deadline clamp.
-func NewLatencyHistogram() *Histogram { return NewHistogram(0.25, 2, 20) }
+func NewLatencyHistogram() *Histogram { return NewHistogram(0.25/256, 2, 28) }
 
 // Observe records one value. Negative and NaN observations clamp to
 // zero rather than poisoning the aggregate: a clock step backwards (NTP

@@ -196,3 +196,27 @@ func TestHistogramObserveClampsInvalid(t *testing.T) {
 		t.Fatalf("quantiles poisoned by NaN observation: p50=%v p99=%v", s.P50, s.P99)
 	}
 }
+
+// TestLatencyHistogramEdges pins the serving histogram's shape: 28
+// doubling edges from about 1 µs, every edge of the earlier 0.25 ms-floor
+// layout kept (so dashboards keyed on an le label still find it), and the
+// last finite edge at 0.25 × 2^19 ms, above the 2-minute deadline clamp.
+func TestLatencyHistogramEdges(t *testing.T) {
+	b := NewLatencyHistogram().bounds
+	if len(b) != 28 {
+		t.Fatalf("%d finite edges, want 28", len(b))
+	}
+	if b[0] != 0.25/256 || b[len(b)-1] != 0.25*(1<<19) {
+		t.Fatalf("edges span [%v, %v]", b[0], b[len(b)-1])
+	}
+	for k := 0; k < 20; k++ {
+		if b[8+k] != 0.25*float64(int(1)<<k) {
+			t.Errorf("edge %d = %v, want the old edge %v", 8+k, b[8+k], 0.25*float64(int(1)<<k))
+		}
+	}
+	h := NewLatencyHistogram()
+	h.Observe(0.003) // 3 µs: the 0.25 ms floor lumped this with 0.2 ms
+	if s := h.Snapshot(); s.Buckets[0].UpperBound != 0.25/64 {
+		t.Errorf("3 µs landed in the bucket up to %v ms", s.Buckets[0].UpperBound)
+	}
+}

@@ -294,3 +294,46 @@ func TestBrownoutShedsLint(t *testing.T) {
 		t.Fatalf("brownout_lint_shed = %v", res["brownout_lint_shed"])
 	}
 }
+
+// TestLintAnalyzerPanicIsolated: a panicking analyzer on /v1/lint is
+// skipped, never fatal — 200 with the persona log and no findings. The
+// injected panic must not poison the compile-cache entry: once the
+// fault is gone, the same source gets its findings back.
+func TestLintAnalyzerPanicIsolated(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	post := func() lintResponse {
+		t.Helper()
+		body, _ := json.Marshal(map[string]any{"source": latchSource})
+		resp, err := http.Post(ts.URL+"/v1/lint", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("lint status = %d, want 200", resp.StatusCode)
+		}
+		var out lintResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	fault.Install(fault.MustParse("analyze.panic:1", 1))
+	panicked := post()
+	fault.Uninstall()
+	if !panicked.Ok || !strings.Contains(panicked.Log, "was successful") {
+		t.Fatalf("persona log missing under analyzer panic: %+v", panicked)
+	}
+	if len(panicked.Findings) != 0 {
+		t.Fatalf("findings served from a panicking analyzer: %+v", panicked.Findings)
+	}
+
+	healthy := post()
+	if healthy.Log != panicked.Log {
+		t.Fatalf("persona log changed:\n%s\n%s", panicked.Log, healthy.Log)
+	}
+	if len(healthy.Findings) == 0 {
+		t.Fatal("findings lost after the injected panic: the cached unit was poisoned")
+	}
+}

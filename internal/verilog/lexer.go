@@ -247,13 +247,23 @@ func validBaseDigit(base, c byte) bool {
 	return false
 }
 
+// opsByFirst indexes operators by their first byte, keeping the
+// longest-first order of the operators list, so lexOp tries only the
+// operators that can start at the current byte (at most five).
+var opsByFirst = func() (t [256][]string) {
+	for _, op := range operators {
+		t[op[0]] = append(t[op[0]], op)
+	}
+	return t
+}()
+
 func (lx *Lexer) lexOp(pos diag.Pos) Token {
 	rest := lx.src[lx.off:]
-	for _, op := range operators {
+	for _, op := range opsByFirst[rest[0]] {
 		if strings.HasPrefix(rest, op) {
-			for range op {
-				lx.advance()
-			}
+			// No operator spans a newline, so only the column moves.
+			lx.off += len(op)
+			lx.col += len(op)
 			return Token{Kind: TokOp, Text: op, Pos: pos}
 		}
 	}

@@ -237,3 +237,68 @@ endmodule
 		Lex(src)
 	}
 }
+
+// lexOpScan is the operator lexer before first-byte dispatch: a linear
+// scan of the whole operators list. FuzzLex keeps it as the oracle.
+func (lx *Lexer) lexOpScan(pos diag.Pos) Token {
+	rest := lx.src[lx.off:]
+	for _, op := range operators {
+		if strings.HasPrefix(rest, op) {
+			for range op {
+				lx.advance()
+			}
+			return Token{Kind: TokOp, Text: op, Pos: pos}
+		}
+	}
+	c := lx.advance()
+	return Token{
+		Kind: TokError,
+		Text: "unexpected character '" + string(c) + "'",
+		Pos:  pos, Cat: diag.CatUnexpectedToken,
+	}
+}
+
+// lexOracle is Lex with every operator lexed by lexOpScan. Tokens that
+// Next does not route to lexOp come from Next itself.
+func lexOracle(src string) []Token {
+	lx := NewLexer(src)
+	var toks []Token
+	for {
+		lx.skipSpaceAndComments()
+		var t Token
+		c := lx.peek()
+		if lx.off < len(lx.src) && c != '`' && c != '"' && c != '\'' && !isIdentStart(c) && !isDigit(c) {
+			t = lx.lexOpScan(lx.pos())
+		} else {
+			t = lx.Next()
+		}
+		toks = append(toks, t)
+		if t.Kind == TokEOF {
+			return toks
+		}
+	}
+}
+
+// FuzzLex holds the first-byte operator dispatch to the linear scan it
+// replaced: identical token streams, positions and error tokens (the
+// lexical diagnostics) on arbitrary input.
+func FuzzLex(f *testing.F) {
+	f.Add("module m(input [3:0] a, output y); assign y = a[3:0] <<< 2 !== 4'b1x0z; endmodule")
+	f.Add("always @(posedge clk) begin i++; q += 1; r -> s; x = y ~^ z ^~ w; end")
+	f.Add("a[i +: 4] = b[j -: 2] >>> (c === d) && e || !f; $display(\"%d\", g) # 5 ? h : k;")
+	f.Add("`timescale 1ns/1ps\n/* comment */ // line\nwire \\esc ; ` \x00 \xff \\ 'b 3'hZ")
+	for _, op := range operators {
+		f.Add(op + op + "\n" + op)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		got, want := Lex(src), lexOracle(src)
+		if len(got) != len(want) {
+			t.Fatalf("%d tokens, oracle %d", len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("token %d: %+v, oracle %+v", i, got[i], want[i])
+			}
+		}
+	})
+}
